@@ -27,6 +27,11 @@ struct Fabric {
       : mailboxes(static_cast<std::size_t>(size)), transport(std::move(t)) {
     transport->attach(this);
   }
+  // Detach before the mailboxes go: a socket transport's receive threads
+  // outlive every fabric they feed.
+  ~Fabric() { transport->detach(this); }
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
 
   std::vector<Mailbox> mailboxes;
   // Delivery strategy: every Comm::send_bytes ends in transport->deposit.

@@ -97,6 +97,13 @@ class Transport {
   /// fabric's mailboxes (where they would be lost).
   virtual void attach(detail::Fabric* fabric) { fabric_ = fabric; }
 
+  /// Undo attach(fabric) if this transport still feeds `fabric`. Called
+  /// from the Fabric destructor, so no inbound frame lands in a destroyed
+  /// fabric; a fabric that a rebuild already replaced is left alone.
+  virtual void detach(detail::Fabric* fabric) {
+    if (fabric_ == fabric) fabric_ = nullptr;
+  }
+
   /// Advance to restart attempt `epoch`: drop frames from older epochs,
   /// clear any recorded failure. Called with no local rank threads running.
   virtual void begin_epoch(int epoch) { (void)epoch; }

@@ -191,6 +191,7 @@ class TcpTransport final : public Transport {
   void broadcast_failure(const std::string& what) override;
   std::exception_ptr take_failure() override;
   void attach(detail::Fabric* fabric) override;
+  void detach(detail::Fabric* fabric) override;
   void begin_epoch(int epoch) override;
   /// Re-point logical slot `slot` at physical participant `spare` and mark
   /// the previous owner dead (its late EOF must not poison the repaired

@@ -446,7 +446,6 @@ int TcpTransport::local_slot() const {
 }
 
 void TcpTransport::fail_peer(int slot, const std::string& what) {
-  detail::Fabric* fab = nullptr;
   {
     std::lock_guard lock(mu_);
     if (!failure_) {
@@ -455,10 +454,11 @@ void TcpTransport::fail_peer(int slot, const std::string& what) {
       failure_ = std::make_exception_ptr(RankFailure(os.str(), slot));
       failed_slot_ = slot;
     }
-    fab = fabric_;
+    // Poison under mu_: a rebuild detaches (attach(nullptr) takes mu_)
+    // before it destroys the old fabric, so the fabric outlives this call.
+    if (fabric_ != nullptr) fabric_->poison_all();
   }
   cv_.notify_all();  // wake await_failure on an idle spare
-  if (fab != nullptr) fab->poison_all();
 }
 
 void TcpTransport::fail_peer_phys(int phys, const std::string& what) {
@@ -654,6 +654,13 @@ void TcpTransport::attach(detail::Fabric* fabric) {
     }
   }
   for (auto& f : due) handle_frame(f.msg.source, std::move(f));
+}
+
+void TcpTransport::detach(detail::Fabric* fabric) {
+  // Under mu_, so a receive thread is never mid-deposit into `fabric` once
+  // this returns.
+  std::lock_guard lock(mu_);
+  if (fabric_ == fabric) fabric_ = nullptr;
 }
 
 void TcpTransport::begin_epoch(int epoch) {

@@ -296,8 +296,13 @@ void World::rebuild_fabric(int next_epoch) {
 void World::install_faults(FaultPlan plan, FaultConfig cfg) {
   MBD_CHECK_MSG(!fabric_->poisoned.load(std::memory_order_acquire),
                 "cannot install faults on a poisoned World");
-  fabric_->injector =
-      std::make_shared<FaultInjector>(std::move(plan), cfg, size_);
+  auto injector = std::make_shared<FaultInjector>(std::move(plan), cfg, size_);
+  // A socket transport's receive threads read the injector under the
+  // transport's lock, and peers may already be running: detach around the
+  // write (their frames buffer meanwhile) so no receive thread reads it.
+  fabric_->transport->attach(nullptr);
+  fabric_->injector = std::move(injector);
+  fabric_->transport->attach(fabric_.get());
 }
 
 FaultInjector* World::fault_injector() const {

@@ -87,10 +87,10 @@ std::future<Reply> Gateway::submit(std::vector<float> features) {
 }
 
 void Gateway::shutdown() {
-  {
-    const std::lock_guard lk(mu_);
-    shutdown_ = true;
-  }
+  // Notify under mu_: serve() may return, and the Gateway be destroyed, as
+  // soon as the dispatcher sees shutdown_, so cv_ is not touched after that.
+  const std::lock_guard lk(mu_);
+  shutdown_ = true;
   cv_.notify_all();
 }
 

@@ -6,10 +6,13 @@
 //   gradient:  ∆W = ∆Y Xᵀ    -> gemm_nt
 // All three variants route through one packed driver: A/B are repacked into
 // microkernel-native panels (transposes absorbed by the pack), an mr×nr
-// register-tiled inner kernel does the FMAs, and OpenMP threads split the
-// row-block macro loop. Blocking parameters are runtime-queryable via
-// gemm_config() (mbd/tensor/gemm_config.hpp). Set MBD_GEMM_LOG_SHAPES to
-// log each distinct shape a process issues once to stderr.
+// register-tiled inner kernel does the multiply-adds, and OpenMP threads
+// split the row-block macro loop. The inner kernel is the widest the CPU
+// supports (AVX-512F, AVX or SSE2, chosen once per process); every choice
+// gives the same bits. The kernel and blocking parameters are
+// runtime-queryable via gemm_config() (mbd/tensor/gemm_config.hpp). Set
+// MBD_GEMM_LOG_SHAPES to log each distinct shape a process issues once to
+// stderr.
 #pragma once
 
 #include "mbd/tensor/matrix.hpp"

@@ -1,9 +1,11 @@
 // Blocking configuration of the packed GEMM kernel (see gemm.cpp).
 //
-// The register microtile (mr × nr) is a compile-time constant so the
-// microkernel's accumulators stay in registers; it is sized to the SIMD ISA
-// the translation unit is compiled for. The cache blocks (mc, kc, nc) are
-// runtime values so they can be tuned per machine without a rebuild:
+// The register microtile (mr × nr) belongs to the microkernel the process
+// runs. Each x86 ISA path has its own tile, and the widest path the CPU
+// supports is chosen once, at first use (mbd/tensor/detail/gemm_isa.hpp):
+// AVX-512F 8×16, else AVX 8×16, else the SSE2 baseline 6×8. All paths give
+// bitwise-identical results. The cache blocks (mc, kc, nc) are runtime
+// values so they can be tuned per machine without a rebuild:
 //
 //   mc × kc  — the packed A block a thread streams from L2,
 //   kc × nr  — the packed B micropanel that stays L1-resident,
@@ -17,27 +19,17 @@
 
 namespace mbd::tensor {
 
-// Register tile. With 256-bit SIMD, 6×16 = twelve 8-float accumulators —
-// the classic Goto kernel shape. Baseline x86-64 (SSE2) has sixteen 4-float
-// registers, so the tile narrows to 6×8 (twelve accumulators) there.
-#if defined(__AVX__)
-inline constexpr std::size_t kGemmMR = 6;
-inline constexpr std::size_t kGemmNR = 16;
-#else
-inline constexpr std::size_t kGemmMR = 6;
-inline constexpr std::size_t kGemmNR = 8;
-#endif
-
 struct GemmConfig {
-  std::size_t mr;      ///< microtile rows (compile-time, reported for introspection)
-  std::size_t nr;      ///< microtile cols (compile-time, reported for introspection)
+  std::size_t mr;      ///< microtile rows of the chosen kernel
+  std::size_t nr;      ///< microtile cols of the chosen kernel
   std::size_t mc;      ///< rows of the packed A block
   std::size_t kc;      ///< shared inner (depth) block
   std::size_t nc;      ///< cols of the packed B block
-  const char* kernel;  ///< human-readable kernel id, e.g. "packed-6x16"
+  const char* kernel;  ///< the chosen kernel, e.g. "avx512f-8x16"
 };
 
-/// The active configuration (env overrides applied once, on first call).
+/// The active configuration (kernel chosen and env overrides applied once,
+/// on first call).
 const GemmConfig& gemm_config();
 
 }  // namespace mbd::tensor

@@ -25,11 +25,13 @@ struct ConvGeom {
 };
 
 /// Lower one sample `n` of `input` to a (C_in·kh·kw) × (out_h·out_w) matrix.
-/// Out-of-image taps (padding) contribute zeros.
+/// Out-of-image taps (padding) contribute zeros. Throws mbd::Error unless
+/// stride ≥ 1 and each kernel side ≤ its input side + 2·pad, the geometries
+/// with at least one output position.
 Matrix im2col(const Tensor4& input, std::size_t n, const ConvGeom& g);
 
 /// Scatter-add the columns matrix back into sample `n` of `grad_input`
-/// (adjoint of im2col).
+/// (adjoint of im2col; same geometry requirement).
 void col2im_add(const Matrix& cols, Tensor4& grad_input, std::size_t n,
                 const ConvGeom& g);
 

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "mbd/tensor/detail/gemm_isa.hpp"
+
 namespace mbd::tensor {
 namespace {
 
@@ -16,16 +18,17 @@ std::size_t env_or(const char* name, std::size_t fallback) {
 }
 
 GemmConfig make_config() {
+  const detail::GemmKernel kernel = detail::gemm_kernel(detail::gemm_isa());
   GemmConfig cfg;
-  cfg.mr = kGemmMR;
-  cfg.nr = kGemmNR;
+  cfg.mr = kernel.mr;
+  cfg.nr = kernel.nr;
   // Defaults: A block (mc×kc ≈ 132 KiB) lives in L2, one B micropanel
   // (kc×nr ≈ 16 KiB with nr=16) stays L1-resident, B block (kc×nc ≈ 2 MiB)
   // is packed once per (jc, pc) and shared by all threads.
   cfg.mc = env_or("MBD_GEMM_MC", 132);
   cfg.kc = env_or("MBD_GEMM_KC", 256);
   cfg.nc = env_or("MBD_GEMM_NC", 2048);
-  cfg.kernel = kGemmNR == 16 ? "packed-6x16" : "packed-6x8";
+  cfg.kernel = kernel.name;
   return cfg;
 }
 
