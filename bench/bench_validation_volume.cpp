@@ -1,29 +1,31 @@
 // Validation bench (not a paper figure): runs every distributed trainer on
 // in-process ranks and compares the INSTRUMENTED per-iteration communication
-// volume against the closed-form predictions derived from the paper's
-// formulas. This certifies Eqs. 3, 4, 7, 8 bandwidth terms against executed
-// collectives — something the paper (analysis-only) did not do.
+// volume against the cost model's prediction, Σ over ranks of
+// costmodel::trainer_rank_volume. This certifies Eqs. 3, 4, 7, 8 bandwidth
+// terms against executed collectives — something the paper (analysis-only)
+// did not do. Exits 1 if any row mismatches.
 #include <functional>
 #include <iostream>
 
 #include "common.hpp"
 #include "mbd/comm/world.hpp"
+#include "mbd/costmodel/volumes.hpp"
 #include "mbd/parallel/batch_parallel.hpp"
 #include "mbd/parallel/domain_parallel.hpp"
 #include "mbd/parallel/hybrid.hpp"
 #include "mbd/parallel/integrated.hpp"
 #include "mbd/parallel/mixed_grid.hpp"
 #include "mbd/parallel/model_parallel.hpp"
-#include "mbd/parallel/validation.hpp"
 #include "mbd/support/units.hpp"
 
 namespace {
 
 using namespace mbd;
+using costmodel::RankVolume;
+using costmodel::TrainerKind;
 using parallel::GridShape;
-using parallel::TrafficPrediction;
 
-TrafficPrediction measure(int p,
+RankVolume measure(int p,
                           const std::function<void(comm::Comm&, std::size_t)>& fn) {
   auto run = [&](std::size_t iters) {
     comm::World world(p);
@@ -32,7 +34,7 @@ TrafficPrediction measure(int p,
   };
   const auto s1 = run(1);
   const auto s3 = run(3);
-  TrafficPrediction t;
+  RankVolume t;
   t.allreduce_bytes =
       (s3[comm::Coll::AllReduce].bytes - s1[comm::Coll::AllReduce].bytes) / 2;
   t.allgather_bytes =
@@ -42,10 +44,21 @@ TrafficPrediction measure(int p,
   return t;
 }
 
-void report(TextTable& t, const std::string& name,
-            const TrafficPrediction& measured,
-            const TrafficPrediction& predicted) {
+// Bytes per iteration summed over all ranks of the pr × pc grid.
+RankVolume predict(TrainerKind kind, const std::vector<nn::LayerSpec>& specs,
+                   std::size_t batch, int pr, int pc) {
+  RankVolume total;
+  for (int r = 0; r < pr * pc; ++r)
+    total += costmodel::trainer_rank_volume(kind, specs, batch, pr, pc, r);
+  return total;
+}
+
+// Adds one row per traffic class; returns how many of them mismatch.
+int report(TextTable& t, const std::string& name, const RankVolume& measured,
+           const RankVolume& predicted) {
+  int mismatches = 0;
   auto row = [&](const char* what, std::uint64_t meas, std::uint64_t pred) {
+    mismatches += meas == pred ? 0 : 1;
     t.row()
         .add(name)
         .add(what)
@@ -56,6 +69,7 @@ void report(TextTable& t, const std::string& name,
   row("allreduce", measured.allreduce_bytes, predicted.allreduce_bytes);
   row("allgather", measured.allgather_bytes, predicted.allgather_bytes);
   row("halo(p2p)", measured.p2p_bytes, predicted.p2p_bytes);
+  return mismatches;
 }
 
 }  // namespace
@@ -81,6 +95,7 @@ int main(int argc, char** argv) {
   cfg.lr = 0.01f;
 
   TextTable t({"trainer", "traffic", "measured", "predicted", "verdict"});
+  int mismatches = 0;
 
   {
     const int p = 4;
@@ -89,7 +104,9 @@ int main(int argc, char** argv) {
       c2.iterations = it;
       (void)parallel::train_batch_parallel(c, mlp, mlp_data, c2);
     });
-    report(t, "batch (Eq.4) P=4", meas, parallel::predict_batch_parallel(mlp, p));
+    mismatches += report(t, "batch (Eq.4) P=4", meas,
+                         predict(TrainerKind::BatchParallel, mlp, cfg.batch,
+                                 1, p));
   }
   {
     const int p = 6;
@@ -98,8 +115,9 @@ int main(int argc, char** argv) {
       c2.iterations = it;
       (void)parallel::train_model_parallel(c, mlp, mlp_data, c2);
     });
-    report(t, "model (Eq.3) P=6", meas,
-           parallel::predict_model_parallel(mlp, cfg.batch, p));
+    mismatches += report(t, "model (Eq.3) P=6", meas,
+                         predict(TrainerKind::ModelParallel, mlp, cfg.batch,
+                                 p, 1));
   }
   {
     const GridShape grid{3, 4};
@@ -108,8 +126,9 @@ int main(int argc, char** argv) {
       c2.iterations = it;
       (void)parallel::train_integrated_15d(c, grid, mlp, mlp_data, c2);
     });
-    report(t, "1.5D (Eq.8) 3x4", meas,
-           parallel::predict_integrated_15d(mlp, cfg.batch, grid));
+    mismatches += report(t, "1.5D (Eq.8) 3x4", meas,
+                         predict(TrainerKind::Integrated15D, mlp, cfg.batch,
+                                 grid.pr, grid.pc));
   }
   {
     const int p = 4;
@@ -120,8 +139,9 @@ int main(int argc, char** argv) {
       c2.iterations = it;
       (void)parallel::train_domain_parallel(c, cnn, cnn_data, c2);
     });
-    report(t, "domain (Eq.7) P=4", meas,
-           parallel::predict_domain_parallel(cnn, c8.batch, p));
+    mismatches += report(t, "domain (Eq.7) P=4", meas,
+                         predict(TrainerKind::DomainParallel, cnn, c8.batch,
+                                 p, 1));
   }
   {
     const GridShape grid{2, 4};
@@ -132,8 +152,9 @@ int main(int argc, char** argv) {
       c2.iterations = it;
       (void)parallel::train_hybrid(c, grid, cnn, cnn_data, c2);
     });
-    report(t, "hybrid (Eq.9) 2x4", meas,
-           parallel::predict_hybrid(cnn, c8.batch, grid));
+    mismatches += report(t, "hybrid (Eq.9) 2x4", meas,
+                         predict(TrainerKind::Hybrid, cnn, c8.batch, grid.pr,
+                                 grid.pc));
   }
 
   {
@@ -150,12 +171,13 @@ int main(int argc, char** argv) {
       c2.iterations = it;
       (void)parallel::train_mixed_grid(c, grid, pooled, pooled_data, c2);
     });
-    report(t, "mixed (Fig.7 exec) 2x4", meas,
-           parallel::predict_mixed_grid(pooled, c8.batch, grid));
+    mismatches += report(t, "mixed (Fig.7 exec) 2x4", meas,
+                         predict(TrainerKind::MixedGrid, pooled, c8.batch,
+                                 grid.pr, grid.pc));
   }
 
   t.print(std::cout);
   std::cout << "\nEvery row must read EXACT: the cost model's bandwidth terms"
                " are exact word counts of the executed collectives.\n";
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

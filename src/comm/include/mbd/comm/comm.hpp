@@ -1,27 +1,27 @@
 // Communicator: rank-addressed message passing plus the collective
 // algorithms the paper's cost model assumes.
 //
-// The collectives are implemented with the textbook algorithms cited by the
-// paper (Thakur, Rabenseifner & Gropp 2005):
-//   * all-gather  — Bruck (⌈log P⌉ rounds) and ring (P-1 rounds)
-//   * all-reduce  — ring (reduce-scatter + all-gather) and recursive doubling
-//   * reduce-scatter — ring
-//   * broadcast / reduce — binomial tree
-//   * barrier     — dissemination
-// so the instrumented byte counts match the α–β model terms exactly:
-// per-process all-gather volume = (P-1)/P · n, ring all-reduce = 2(P-1)/P · n.
+// Every collective is a round program (mbd/comm/rounds.hpp, which lists the
+// algorithms) run by one interpreter, detail::RoundRunner, below: blocking
+// collectives drive it to completion, nonblocking ones keep it behind a
+// CollectiveHandle. The instrumented byte counts match the α–β model terms
+// exactly: per-process all-gather volume = (P-1)/P · n, ring all-reduce =
+// 2(P-1)/P · n.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <typeinfo>
 #include <vector>
 
 #include "mbd/comm/fabric.hpp"
 #include "mbd/comm/nonblocking.hpp"
+#include "mbd/comm/rounds.hpp"
 #include "mbd/comm/validator.hpp"
 #include "mbd/obs/profiler.hpp"
 #include "mbd/support/check.hpp"
@@ -29,15 +29,43 @@
 namespace mbd::comm {
 
 namespace detail {
-struct NbAccess;
+
+template <typename T, typename Op>
+class RoundRunner;
+template <typename T>
+class IRecvOp;
+
+/// The op of programs that only copy (gathers, broadcast, barrier).
+struct NoCombine {};
+
+/// Where a program's blocks live. Contiguous layout: block b is
+/// [lo[b], lo[b+1]) of both `src`, which sends read, and `dst`, where
+/// receives land (the same memory for in-place collectives); an empty `lo`
+/// means the program's canonical blocks of `dst`. Learned layout (`owned`
+/// non-empty): block b is owned[b], a received block takes whatever size
+/// arrives, and `*concat` gets the blocks in rank order at completion —
+/// allgatherv and the gather root, where ranks contribute different sizes.
+template <typename T>
+struct BlockBuffer {
+  std::span<const T> src{};
+  std::span<T> dst{};
+  std::vector<std::size_t> lo{};
+  std::vector<std::vector<T>> owned{};
+  std::vector<T>* concat = nullptr;
+};
+
+/// A learned layout of p blocks that holds only this rank's block so far.
+template <typename T>
+BlockBuffer<T> learned(int p, int rank, std::span<const T> own,
+                       std::vector<T>* concat) {
+  BlockBuffer<T> buf{.owned = std::vector<std::vector<T>>(
+                         static_cast<std::size_t>(p)),
+                     .concat = concat};
+  buf.owned[static_cast<std::size_t>(rank)].assign(own.begin(), own.end());
+  return buf;
 }
 
-/// Algorithm selection for all-gather.
-enum class AllGatherAlgo { Bruck, Ring };
-/// Algorithm selection for all-reduce.
-/// Ring and Rabenseifner move 2(P−1)/P·n words per process (bandwidth
-/// optimal); RecursiveDoubling moves n·⌈log₂P⌉ (latency optimal for small n).
-enum class AllReduceAlgo { Ring, RecursiveDoubling, Rabenseifner };
+}  // namespace detail
 
 /// A communicator over a subset of a World's ranks. Cheap to copy.
 ///
@@ -95,9 +123,9 @@ class Comm {
   /// from a per-communicator issue counter). See mbd/comm/nonblocking.hpp
   /// for progress and validator semantics.
 
-  /// Nonblocking ring all-reduce (elementwise, in place). Identical message
-  /// schedule, byte counts, and reduction order as the blocking ring — the
-  /// completed result is bitwise equal to allreduce(..., AllReduceAlgo::Ring).
+  /// Nonblocking ring all-reduce (elementwise, in place). The same round
+  /// program as the blocking ring — the completed result is bitwise equal
+  /// to allreduce(..., AllReduceAlgo::Ring).
   template <typename T, typename Op = std::plus<T>>
   CollectiveHandle iallreduce(std::span<T> data, Op op = {});
 
@@ -231,7 +259,7 @@ class Comm {
     return out;
   }
 
-  // `reserved_op` != 0 marks a nonblocking ring-round send carrying an op
+  // `reserved_op` != 0 marks a nonblocking round send carrying an op
   // identity reserved at initiation (see reserve_nb_ops): the injector fires
   // faults against that exact identity instead of the live op counter, so
   // drain-time polling cannot shift which op a fault lands on.
@@ -290,28 +318,21 @@ class Comm {
     return kNbTagBase + seq * kNbTagStride;
   }
 
-  template <typename T, typename Op>
-  void allreduce_ring(std::span<T> data, Op op);
-  template <typename T, typename Op>
-  void allreduce_recursive_doubling(std::span<T> data, Op op);
-  template <typename T, typename Op>
-  void allreduce_rabenseifner(std::span<T> data, Op op);
-  template <typename T>
-  std::vector<T> allgather_bruck(std::span<const T> local);
-  template <typename T>
-  std::vector<T> allgather_ring(std::span<const T> local);
+  // Runs `prog` over `buf` to completion, its messages tagged and counted
+  // as collective class `c`.
+  template <typename T, typename Op = detail::NoCombine>
+  void run_rounds(RoundProgram prog, Coll c, detail::BlockBuffer<T> buf,
+                  Op op = {});
+  // Starts `prog` over `buf` behind a handle: posts round 0 and returns.
+  template <typename T, typename Op = detail::NoCombine>
+  CollectiveHandle start_rounds(RoundProgram prog, Coll c,
+                                detail::BlockBuffer<T> buf, Op op,
+                                const char* op_name, std::string what);
 
-  // Collective-internal send/recv that records under class `c`.
+  template <typename T, typename Op>
+  friend class detail::RoundRunner;
   template <typename T>
-  void csend(int dst, std::span<const T> data, Coll c, int step) {
-    send_bytes(dst, as_bytes_span(data), internal_tag(c, step), c);
-  }
-  template <typename T>
-  std::vector<T> crecv(int src, Coll c, int step) {
-    return from_bytes<T>(recv_bytes(src, internal_tag(c, step)));
-  }
-
-  friend struct detail::NbAccess;
+  friend class detail::IRecvOp;
 
   std::shared_ptr<detail::Fabric> fabric_;
   std::uint64_t context_;
@@ -323,31 +344,177 @@ class Comm {
 
 namespace detail {
 
-/// Byte-level transport access for the nonblocking op state machines; keeps
-/// the friendship surface to one struct instead of one per op template.
-struct NbAccess {
-  static void send(Comm& c, int dst, std::span<const std::byte> data, int tag,
-                   Coll cl, std::uint64_t op_id = 0) {
-    c.send_bytes(dst, data, tag, cl, op_id);
+/// The interpreter of round programs. Each round posts its send once
+/// (`sent_` latches across advance() calls), then polls or blocks for its
+/// receive, which the interpreter checks against the size the program
+/// expects before copying or combining it. Blocking collectives run it with
+/// Drive::Block; nonblocking ones keep it behind a CollectiveHandle.
+template <typename T, typename Op>
+class RoundRunner final : public PendingOp {
+ public:
+  // Round k's messages carry tag tag_base + Round::tag. A blocking run
+  // borrows the caller's Comm and counts its receives as injector ops. A
+  // nonblocking op keeps a copy of the Comm, because its handle may outlive
+  // the caller's, and its receives stay uncounted; op_base != 0 gives round
+  // k's send the reserved injector op identity op_base + k.
+  RoundRunner(Comm& comm, bool blocking, RoundProgram prog, Coll coll,
+              BlockBuffer<T> buf, Op op, int tag_base, std::uint64_t op_base)
+      : own_(blocking ? nullptr : std::make_unique<Comm>(comm)),
+        comm_(blocking ? &comm : own_.get()),
+        counted_(blocking),
+        prog_(std::move(prog)),
+        coll_(coll),
+        buf_(std::move(buf)),
+        op_(op),
+        tag_base_(tag_base),
+        op_base_(op_base) {
+    if (!buf_.owned.empty() || !buf_.lo.empty()) return;
+    for (int b = 0; b <= prog_.blocks; ++b)
+      buf_.lo.push_back(Comm::block_lo(buf_.dst.size(), prog_.blocks, b));
   }
-  static std::vector<std::byte> recv(Comm& c, int src, int tag) {
-    // Nonblocking Block receives are uncounted: a round that completes via a
-    // test() poll performs no blocking recv at all, so counting the wait()
-    // path would make op indices depend on drain timing.
-    return c.recv_bytes(src, tag, /*counted=*/false);
+
+  bool advance(Drive drive) override {
+    while (next_ < prog_.rounds.size()) {
+      const Round& r = prog_.rounds[next_];
+      const int tag = tag_base_ + r.tag;
+      if (!sent_ && r.send_to >= 0) {
+        comm_->send_bytes(r.send_to, Comm::as_bytes_span(range(r.send)), tag,
+                          coll_, op_base_ == 0 ? 0 : op_base_ + next_);
+      }
+      sent_ = true;
+      if (drive == Drive::Post) return false;
+      if (r.recv_from >= 0) {
+        std::vector<std::byte> raw;
+        if (drive == Drive::Block) {
+          raw = comm_->recv_bytes(r.recv_from, tag, counted_);
+        } else if (!comm_->try_recv_bytes(r.recv_from, tag, raw)) {
+          return false;
+        }
+        land(r, std::move(raw));
+      }
+      sent_ = false;
+      ++next_;
+    }
+    if (buf_.concat != nullptr) {
+      std::size_t total = 0;
+      for (const auto& b : buf_.owned) total += b.size();
+      buf_.concat->clear();
+      buf_.concat->reserve(total);
+      for (const auto& b : buf_.owned)
+        buf_.concat->insert(buf_.concat->end(), b.begin(), b.end());
+    }
+    return true;
   }
-  static bool try_recv(Comm& c, int src, int tag,
-                       std::vector<std::byte>& out) {
-    return c.try_recv_bytes(src, tag, out);
+
+ private:
+  // Calls f(lo, hi) for each element run of `br`: one run, or two when the
+  // range wraps past the last block.
+  template <typename F>
+  void for_each_run(BlockRange br, F&& f) const {
+    const auto& lo = buf_.lo;
+    const auto end = static_cast<std::size_t>(br.first + br.count);
+    const auto blocks = static_cast<std::size_t>(prog_.blocks);
+    f(lo[static_cast<std::size_t>(br.first)], lo[std::min(end, blocks)]);
+    if (end > blocks) f(lo[0], lo[end - blocks]);
   }
-  template <typename T>
-  static std::span<const std::byte> bytes(std::span<const T> s) {
-    return Comm::as_bytes_span(s);
+
+  // The elements of `br` in range order: a view of the buffer, or a staged
+  // copy when the range wraps (one message either way).
+  std::span<const T> range(BlockRange br) {
+    if (!buf_.owned.empty()) {
+      MBD_CHECK_EQ(br.count, 1);
+      return buf_.owned[static_cast<std::size_t>(br.first)];
+    }
+    if (br.first + br.count <= prog_.blocks) {
+      const std::size_t lo = buf_.lo[static_cast<std::size_t>(br.first)];
+      return buf_.src.subspan(
+          lo, buf_.lo[static_cast<std::size_t>(br.first + br.count)] - lo);
+    }
+    staged_.clear();
+    for_each_run(br, [&](std::size_t lo, std::size_t hi) {
+      staged_.insert(staged_.end(), buf_.src.begin() + lo,
+                     buf_.src.begin() + hi);
+    });
+    return staged_;
   }
-  template <typename T>
-  static std::vector<T> typed(std::vector<std::byte> b) {
-    return Comm::from_bytes<T>(std::move(b));
+
+  void land(const Round& r, std::vector<std::byte> raw) {
+    if (!buf_.owned.empty()) {
+      MBD_CHECK(r.recv.count == 1 && !r.combine);
+      buf_.owned[static_cast<std::size_t>(r.recv.first)] =
+          Comm::from_bytes<T>(std::move(raw));
+      return;
+    }
+    std::size_t words = 0;
+    for_each_run(r.recv, [&](std::size_t lo, std::size_t hi) {
+      words += hi - lo;
+    });
+    MBD_CHECK_MSG(raw.size() == words * sizeof(T),
+                  "round " << next_ << " from rank " << r.recv_from
+                           << " carried " << raw.size() << " bytes, expected "
+                           << words * sizeof(T));
+    if (!r.combine) {
+      const std::byte* in = raw.data();
+      for_each_run(r.recv, [&](std::size_t lo, std::size_t hi) {
+        if (hi == lo) return;  // memcpy's pointers must be non-null
+        std::memcpy(buf_.dst.data() + lo, in, (hi - lo) * sizeof(T));
+        in += (hi - lo) * sizeof(T);
+      });
+      return;
+    }
+    if constexpr (std::is_same_v<Op, NoCombine>) {
+      MBD_CHECK_MSG(false, "a copy-only collective ran a combining round");
+    } else {
+      const std::vector<T> in = Comm::from_bytes<T>(std::move(raw));
+      std::size_t at = 0;
+      for_each_run(r.recv, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+          buf_.dst[i] = op_(buf_.dst[i], in[at++]);
+      });
+    }
   }
+
+  std::unique_ptr<Comm> own_;  // nonblocking only
+  Comm* comm_;
+  bool counted_;
+  RoundProgram prog_;
+  Coll coll_;
+  BlockBuffer<T> buf_;
+  Op op_;
+  int tag_base_;
+  std::uint64_t op_base_;  // first reserved injector op identity (0 = none)
+  std::vector<T> staged_;  // a wrapping range's send payload
+  std::size_t next_ = 0;   // current round
+  bool sent_ = false;      // current round's send posted
+};
+
+// The pending-receive half of isendrecv (the send is buffered at initiation).
+template <typename T>
+class IRecvOp final : public PendingOp {
+ public:
+  IRecvOp(Comm comm, int src, int tag, std::vector<T>* out)
+      : comm_(std::move(comm)), src_(src), tag_(tag), out_(out) {}
+
+  bool advance(Drive drive) override {
+    // The send half was buffered at initiation; nothing to post here.
+    if (drive == Drive::Post) return false;
+    std::vector<std::byte> raw;
+    if (drive == Drive::Block) {
+      // Uncounted like every nonblocking Block receive: a round that
+      // completes via a test() poll performs no blocking recv at all.
+      raw = comm_.recv_bytes(src_, tag_, /*counted=*/false);
+    } else if (!comm_.try_recv_bytes(src_, tag_, raw)) {
+      return false;
+    }
+    *out_ = Comm::from_bytes<T>(std::move(raw));
+    return true;
+  }
+
+ private:
+  Comm comm_;
+  int src_;
+  int tag_;
+  std::vector<T>* out_;
 };
 
 }  // namespace detail
@@ -355,6 +522,27 @@ struct NbAccess {
 // ---------------------------------------------------------------------------
 // Template implementations.
 // ---------------------------------------------------------------------------
+
+template <typename T, typename Op>
+void Comm::run_rounds(RoundProgram prog, Coll c, detail::BlockBuffer<T> buf,
+                      Op op) {
+  detail::RoundRunner<T, Op>(*this, /*blocking=*/true, std::move(prog), c,
+                             std::move(buf), op, internal_tag(c, 0),
+                             /*op_base=*/0)
+      .advance(detail::Drive::Block);
+}
+
+template <typename T, typename Op>
+CollectiveHandle Comm::start_rounds(RoundProgram prog, Coll c,
+                                    detail::BlockBuffer<T> buf, Op op,
+                                    const char* op_name, std::string what) {
+  const int tag_base = nb_tag_block();
+  const std::uint64_t op_base = reserve_nb_ops(prog.rounds.size());
+  return make_handle(std::make_unique<detail::RoundRunner<T, Op>>(
+                         *this, /*blocking=*/false, std::move(prog), c,
+                         std::move(buf), op, tag_base, op_base),
+                     op_name, std::move(what));
+}
 
 template <typename T>
 void Comm::broadcast(std::span<T> data, int root) {
@@ -367,25 +555,8 @@ void Comm::broadcast(std::span<T> data, int root) {
                   .elem_size = sizeof(T),
                   .elem_type = typeid(T).name(),
                   .root = root});
-  if (p == 1) return;
-  const int vr = (rank_ - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if (vr & mask) {
-      auto in = crecv<T>((vr - mask + root) % p, Coll::Broadcast, 0);
-      MBD_CHECK_EQ(in.size(), data.size());
-      std::copy(in.begin(), in.end(), data.begin());
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vr + mask < p) {
-      csend<T>((vr + mask + root) % p, std::span<const T>(data), Coll::Broadcast, 0);
-    }
-    mask >>= 1;
-  }
+  run_rounds(broadcast_rounds(p, rank_, root), Coll::Broadcast,
+             detail::BlockBuffer<T>{.src = data, .dst = data});
 }
 
 template <typename T, typename Op>
@@ -400,24 +571,8 @@ void Comm::reduce(std::span<T> data, int root, Op op) {
                   .elem_type = typeid(T).name(),
                   .reduce_op = typeid(Op).name(),
                   .root = root});
-  if (p == 1) return;
-  const int vr = (rank_ - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if ((vr & mask) == 0) {
-      const int partner = vr | mask;
-      if (partner < p) {
-        auto in = crecv<T>((partner + root) % p, Coll::Reduce, 0);
-        MBD_CHECK_EQ(in.size(), data.size());
-        for (std::size_t i = 0; i < data.size(); ++i)
-          data[i] = op(data[i], in[i]);
-      }
-    } else {
-      csend<T>((vr - mask + root) % p, std::span<const T>(data), Coll::Reduce, 0);
-      break;
-    }
-    mask <<= 1;
-  }
+  run_rounds(reduce_rounds(p, rank_, root), Coll::Reduce,
+             detail::BlockBuffer<T>{.src = data, .dst = data}, op);
 }
 
 template <typename T>
@@ -429,67 +584,12 @@ std::vector<T> Comm::allgather(std::span<const T> local, AllGatherAlgo algo) {
                   .elem_size = sizeof(T),
                   .elem_type = typeid(T).name(),
                   .algo = static_cast<int>(algo)});
-  switch (algo) {
-    case AllGatherAlgo::Bruck: return allgather_bruck(local);
-    case AllGatherAlgo::Ring: return allgather_ring(local);
-  }
-  MBD_CHECK(false);
-  return {};
-}
-
-template <typename T>
-std::vector<T> Comm::allgather_bruck(std::span<const T> local) {
   const int p = size();
-  const std::size_t m = local.size();
-  std::vector<T> buf(local.begin(), local.end());
-  if (p == 1) return buf;
-  buf.reserve(m * static_cast<std::size_t>(p));
-  // After the loop, buf holds blocks of ranks (r, r+1, ..., r+p-1) mod p.
-  int step = 0;
-  for (int k = 1; k < p; k <<= 1, ++step) {
-    const int nblocks = std::min(k, p - k);
-    const int dst = (rank_ - k + p) % p;
-    const int src = (rank_ + k) % p;
-    csend<T>(dst,
-             std::span<const T>(buf.data(),
-                                static_cast<std::size_t>(nblocks) * m),
-             Coll::AllGather, step);
-    auto in = crecv<T>(src, Coll::AllGather, step);
-    MBD_CHECK_EQ(in.size(), static_cast<std::size_t>(nblocks) * m);
-    buf.insert(buf.end(), in.begin(), in.end());
-  }
-  MBD_CHECK_EQ(buf.size(), m * static_cast<std::size_t>(p));
-  // Rotate so block i corresponds to rank i.
-  std::vector<T> out(buf.size());
-  for (int b = 0; b < p; ++b) {
-    const int owner = (rank_ + b) % p;
-    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(b) * static_cast<std::ptrdiff_t>(m),
-                m,
-                out.begin() + static_cast<std::ptrdiff_t>(owner) * static_cast<std::ptrdiff_t>(m));
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<T> Comm::allgather_ring(std::span<const T> local) {
-  const int p = size();
-  const std::size_t m = local.size();
-  std::vector<T> out(m * static_cast<std::size_t>(p));
+  std::vector<T> out(local.size() * static_cast<std::size_t>(p));
   std::copy(local.begin(), local.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(rank_) * static_cast<std::ptrdiff_t>(m));
-  const int right = (rank_ + 1) % p;
-  const int left = (rank_ - 1 + p) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_block = (rank_ - s + p) % p;
-    const int recv_block = (rank_ - s - 1 + p) % p;
-    csend<T>(right,
-             std::span<const T>(out.data() + static_cast<std::size_t>(send_block) * m, m),
-             Coll::AllGather, s);
-    auto in = crecv<T>(left, Coll::AllGather, s);
-    MBD_CHECK_EQ(in.size(), m);
-    std::copy(in.begin(), in.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(recv_block) * static_cast<std::ptrdiff_t>(m));
-  }
+            out.begin() + static_cast<std::ptrdiff_t>(rank_ * local.size()));
+  run_rounds(allgather_rounds(algo, p, rank_), Coll::AllGather,
+             detail::BlockBuffer<T>{.src = out, .dst = out});
   return out;
 }
 
@@ -504,26 +604,11 @@ std::vector<T> Comm::alltoall(std::span<const T> data, std::size_t chunk) {
                   .elem_size = sizeof(T),
                   .elem_type = typeid(T).name()});
   std::vector<T> out(data.size());
-  // Own chunk moves locally.
-  std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(
-                                 static_cast<std::size_t>(rank_) * chunk),
-              chunk,
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                static_cast<std::size_t>(rank_) * chunk));
-  // Ring-offset schedule, valid for any P: at step s send the chunk for
-  // rank (rank+s) and receive the chunk from rank (rank−s).
-  for (int s = 1; s < p; ++s) {
-    const int dst = (rank_ + s) % p;
-    const int src = (rank_ - s + p) % p;
-    csend<T>(dst,
-             data.subspan(static_cast<std::size_t>(dst) * chunk, chunk),
-             Coll::Gather, s);
-    auto in = crecv<T>(src, Coll::Gather, s);
-    MBD_CHECK_EQ(in.size(), chunk);
-    std::copy(in.begin(), in.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                static_cast<std::size_t>(src) * chunk));
-  }
+  // Own chunk moves locally; the program sends from `data` into `out`.
+  const auto own = static_cast<std::ptrdiff_t>(rank_ * chunk);
+  std::copy_n(data.begin() + own, chunk, out.begin() + own);
+  run_rounds(alltoall_rounds(p, rank_), Coll::Gather,
+             detail::BlockBuffer<T>{.src = data, .dst = out});
   return out;
 }
 
@@ -536,29 +621,9 @@ std::vector<T> Comm::allgatherv(std::span<const T> local) {
                   .count = CollectiveDesc::kAnyCount,
                   .elem_size = sizeof(T),
                   .elem_type = typeid(T).name()});
-  const int p = size();
-  std::vector<std::vector<T>> blocks(static_cast<std::size_t>(p));
-  blocks[static_cast<std::size_t>(rank_)].assign(local.begin(), local.end());
-  if (p > 1) {
-    const int right = (rank_ + 1) % p;
-    const int left = (rank_ - 1 + p) % p;
-    // Pass blocks around the ring: at step s, forward the block that
-    // originated at rank (rank − s) and receive the one from (rank − s − 1).
-    for (int s = 0; s < p - 1; ++s) {
-      const int send_origin = (rank_ - s + p) % p;
-      const int recv_origin = (rank_ - s - 1 + p) % p;
-      csend<T>(right,
-               std::span<const T>(blocks[static_cast<std::size_t>(send_origin)]),
-               Coll::AllGather, s);
-      blocks[static_cast<std::size_t>(recv_origin)] =
-          crecv<T>(left, Coll::AllGather, s);
-    }
-  }
   std::vector<T> out;
-  std::size_t total = 0;
-  for (const auto& b : blocks) total += b.size();
-  out.reserve(total);
-  for (const auto& b : blocks) out.insert(out.end(), b.begin(), b.end());
+  run_rounds(allgather_rounds(AllGatherAlgo::Ring, size(), rank_),
+             Coll::AllGather, detail::learned(size(), rank_, local, &out));
   return out;
 }
 
@@ -572,180 +637,8 @@ void Comm::allreduce(std::span<T> data, Op op, AllReduceAlgo algo) {
                   .elem_type = typeid(T).name(),
                   .reduce_op = typeid(Op).name(),
                   .algo = static_cast<int>(algo)});
-  if (size() == 1) return;
-  switch (algo) {
-    case AllReduceAlgo::Ring: allreduce_ring(data, op); return;
-    case AllReduceAlgo::RecursiveDoubling:
-      allreduce_recursive_doubling(data, op);
-      return;
-    case AllReduceAlgo::Rabenseifner:
-      allreduce_rabenseifner(data, op);
-      return;
-  }
-  MBD_CHECK(false);
-}
-
-template <typename T, typename Op>
-void Comm::allreduce_ring(std::span<T> data, Op op) {
-  const int p = size();
-  const std::size_t n = data.size();
-  const int right = (rank_ + 1) % p;
-  const int left = (rank_ - 1 + p) % p;
-  auto block = [&](int b) {
-    b = ((b % p) + p) % p;
-    return std::pair{block_lo(n, p, b), block_lo(n, p, b + 1)};
-  };
-  // Phase 1: reduce-scatter around the ring.
-  for (int s = 0; s < p - 1; ++s) {
-    const auto [slo, shi] = block(rank_ - s);
-    const auto [rlo, rhi] = block(rank_ - s - 1);
-    csend<T>(right, std::span<const T>(data.data() + slo, shi - slo),
-             Coll::AllReduce, s);
-    auto in = crecv<T>(left, Coll::AllReduce, s);
-    MBD_CHECK_EQ(in.size(), rhi - rlo);
-    for (std::size_t i = 0; i < in.size(); ++i)
-      data[rlo + i] = op(data[rlo + i], in[i]);
-  }
-  // Phase 2: all-gather of the reduced blocks around the ring.
-  for (int s = 0; s < p - 1; ++s) {
-    const auto [slo, shi] = block(rank_ + 1 - s);
-    const auto [rlo, rhi] = block(rank_ - s);
-    csend<T>(right, std::span<const T>(data.data() + slo, shi - slo),
-             Coll::AllReduce, p + s);
-    auto in = crecv<T>(left, Coll::AllReduce, p + s);
-    MBD_CHECK_EQ(in.size(), rhi - rlo);
-    std::copy(in.begin(), in.end(), data.begin() + static_cast<std::ptrdiff_t>(rlo));
-  }
-}
-
-template <typename T, typename Op>
-void Comm::allreduce_recursive_doubling(std::span<T> data, Op op) {
-  const int p = size();
-  int p2 = 1;
-  while (p2 * 2 <= p) p2 *= 2;
-  const int rem = p - p2;
-  // Fold the `rem` extra ranks into the first `rem` survivors (MPICH scheme):
-  // among the first 2*rem ranks, odd ranks send to the even rank below and
-  // drop out of the doubling phase.
-  int vr;  // virtual rank within the power-of-two group, -1 if folded out
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 1) {
-      csend<T>(rank_ - 1, std::span<const T>(data), Coll::AllReduce, 100);
-      vr = -1;
-    } else {
-      auto in = crecv<T>(rank_ + 1, Coll::AllReduce, 100);
-      for (std::size_t i = 0; i < data.size(); ++i)
-        data[i] = op(data[i], in[i]);
-      vr = rank_ / 2;
-    }
-  } else {
-    vr = rank_ - rem;
-  }
-  if (vr >= 0) {
-    for (int mask = 1, step = 0; mask < p2; mask <<= 1, ++step) {
-      const int vpartner = vr ^ mask;
-      const int partner = vpartner < rem ? vpartner * 2 : vpartner + rem;
-      csend<T>(partner, std::span<const T>(data), Coll::AllReduce, 200 + step);
-      auto in = crecv<T>(partner, Coll::AllReduce, 200 + step);
-      MBD_CHECK_EQ(in.size(), data.size());
-      for (std::size_t i = 0; i < data.size(); ++i)
-        data[i] = op(data[i], in[i]);
-    }
-  }
-  // Ship the final result back to the folded-out ranks.
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 0) {
-      csend<T>(rank_ + 1, std::span<const T>(data), Coll::AllReduce, 300);
-    } else {
-      auto in = crecv<T>(rank_ - 1, Coll::AllReduce, 300);
-      std::copy(in.begin(), in.end(), data.begin());
-    }
-  }
-}
-
-template <typename T, typename Op>
-void Comm::allreduce_rabenseifner(std::span<T> data, Op op) {
-  // Rabenseifner's algorithm: recursive-halving reduce-scatter followed by a
-  // recursive-doubling all-gather. Bandwidth matches the ring (2(P−1)/P·n per
-  // process) with only 2⌈log₂P⌉ latency steps. Non-power-of-two counts fold
-  // the extra ranks in and out as in allreduce_recursive_doubling.
-  const int p = size();
-  const std::size_t n = data.size();
-  int p2 = 1;
-  while (p2 * 2 <= p) p2 *= 2;
-  const int rem = p - p2;
-  int vr;
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 1) {
-      csend<T>(rank_ - 1, std::span<const T>(data), Coll::AllReduce, 400);
-      vr = -1;
-    } else {
-      auto in = crecv<T>(rank_ + 1, Coll::AllReduce, 400);
-      for (std::size_t i = 0; i < n; ++i) data[i] = op(data[i], in[i]);
-      vr = rank_ / 2;
-    }
-  } else {
-    vr = rank_ - rem;
-  }
-  auto real_rank = [&](int v) { return v < rem ? v * 2 : v + rem; };
-  auto block = [&](int b) {
-    return std::pair{block_lo(n, p2, b), block_lo(n, p2, b + 1)};
-  };
-  if (vr >= 0) {
-    // Recursive halving: shrink the owned block range [blo, bhi) toward the
-    // single block vr, exchanging the complementary half with the partner.
-    int blo = 0, bhi = p2, step = 0;
-    for (int mask = p2 / 2; mask >= 1; mask >>= 1, ++step) {
-      const int partner = vr ^ mask;
-      const int mid = (blo + bhi) / 2;
-      int keep_lo, keep_hi, send_lo, send_hi;
-      if ((vr & mask) == 0) {
-        keep_lo = blo; keep_hi = mid; send_lo = mid; send_hi = bhi;
-      } else {
-        keep_lo = mid; keep_hi = bhi; send_lo = blo; send_hi = mid;
-      }
-      const std::size_t slo = block(send_lo).first;
-      const std::size_t shi = block(send_hi - 1).second;
-      csend<T>(real_rank(partner),
-               std::span<const T>(data.data() + slo, shi - slo),
-               Coll::AllReduce, 410 + step);
-      auto in = crecv<T>(real_rank(partner), Coll::AllReduce, 410 + step);
-      const std::size_t klo = block(keep_lo).first;
-      MBD_CHECK_EQ(in.size(), block(keep_hi - 1).second - klo);
-      for (std::size_t i = 0; i < in.size(); ++i)
-        data[klo + i] = op(data[klo + i], in[i]);
-      blo = keep_lo;
-      bhi = keep_hi;
-    }
-    MBD_CHECK_EQ(blo, vr);
-    MBD_CHECK_EQ(bhi, vr + 1);
-    // Recursive doubling all-gather: grow the owned range back to [0, p2).
-    for (int mask = 1; mask < p2; mask <<= 1, ++step) {
-      const int partner = vr ^ mask;
-      // Current owned range: the aligned window of width `mask` around vr.
-      const int own_lo = (vr / mask) * mask;
-      const int own_hi = own_lo + mask;
-      const int partner_lo = (partner / mask) * mask;
-      const std::size_t olo = block(own_lo).first;
-      const std::size_t ohi = block(own_hi - 1).second;
-      csend<T>(real_rank(partner),
-               std::span<const T>(data.data() + olo, ohi - olo),
-               Coll::AllReduce, 430 + step);
-      auto in = crecv<T>(real_rank(partner), Coll::AllReduce, 430 + step);
-      const std::size_t plo = block(partner_lo).first;
-      MBD_CHECK_EQ(in.size(), block(partner_lo + mask - 1).second - plo);
-      std::copy(in.begin(), in.end(),
-                data.begin() + static_cast<std::ptrdiff_t>(plo));
-    }
-  }
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 0) {
-      csend<T>(rank_ + 1, std::span<const T>(data), Coll::AllReduce, 450);
-    } else {
-      auto in = crecv<T>(rank_ - 1, Coll::AllReduce, 450);
-      std::copy(in.begin(), in.end(), data.begin());
-    }
-  }
+  run_rounds(allreduce_rounds(algo, size(), rank_), Coll::AllReduce,
+             detail::BlockBuffer<T>{.src = data, .dst = data}, op);
 }
 
 template <typename T, typename Op>
@@ -758,29 +651,13 @@ std::vector<T> Comm::reduce_scatter(std::span<const T> data, Op op) {
                   .elem_type = typeid(T).name(),
                   .reduce_op = typeid(Op).name()});
   const int p = size();
-  const std::size_t n = data.size();
   std::vector<T> work(data.begin(), data.end());
-  const int right = (rank_ + 1) % p;
-  const int left = (rank_ - 1 + p) % p;
-  auto block = [&](int b) {
-    b = ((b % p) + p) % p;
-    return std::pair{block_lo(n, p, b), block_lo(n, p, b + 1)};
-  };
-  // Ring schedule offset so that after P-1 steps rank r owns the fully
-  // reduced canonical block r (send block r-s-1, accumulate block r-s-2).
-  for (int s = 0; s < p - 1; ++s) {
-    const auto [slo, shi] = block(rank_ - s - 1);
-    const auto [rlo, rhi] = block(rank_ - s - 2);
-    csend<T>(right, std::span<const T>(work.data() + slo, shi - slo),
-             Coll::ReduceScatter, s);
-    auto in = crecv<T>(left, Coll::ReduceScatter, s);
-    MBD_CHECK_EQ(in.size(), rhi - rlo);
-    for (std::size_t i = 0; i < in.size(); ++i)
-      work[rlo + i] = op(work[rlo + i], in[i]);
-  }
-  const auto [mlo, mhi] = block(rank_);
-  return {work.begin() + static_cast<std::ptrdiff_t>(mlo),
-          work.begin() + static_cast<std::ptrdiff_t>(mhi)};
+  run_rounds(reduce_scatter_rounds(p, rank_), Coll::ReduceScatter,
+             detail::BlockBuffer<T>{.src = work, .dst = work}, op);
+  const std::size_t lo = block_lo(work.size(), p, rank_);
+  const std::size_t hi = block_lo(work.size(), p, rank_ + 1);
+  return {work.begin() + static_cast<std::ptrdiff_t>(lo),
+          work.begin() + static_cast<std::ptrdiff_t>(hi)};
 }
 
 template <typename T>
@@ -795,19 +672,9 @@ std::vector<T> Comm::gather(std::span<const T> local, int root) {
                   .elem_size = sizeof(T),
                   .elem_type = typeid(T).name(),
                   .root = root});
-  if (rank_ != root) {
-    csend<T>(root, local, Coll::Gather, 0);
-    return {};
-  }
   std::vector<T> out;
-  for (int r = 0; r < p; ++r) {
-    if (r == rank_) {
-      out.insert(out.end(), local.begin(), local.end());
-    } else {
-      auto in = crecv<T>(r, Coll::Gather, 0);
-      out.insert(out.end(), in.begin(), in.end());
-    }
-  }
+  run_rounds(gather_rounds(p, rank_, root), Coll::Gather,
+             detail::learned(p, rank_, local, rank_ == root ? &out : nullptr));
   return out;
 }
 
@@ -823,250 +690,22 @@ std::vector<T> Comm::scatter(std::span<const T> all, int root,
                   .elem_size = sizeof(T),
                   .elem_type = typeid(T).name(),
                   .root = root});
+  std::vector<T> out(chunk);
+  // The root sends the p chunks of `all`; a non-root rank's layout holds
+  // only its own chunk, which is all of `out`.
+  detail::BlockBuffer<T> buf{.src = all, .dst = out};
+  for (int b = 0; b <= p; ++b) {
+    const int chunks = rank_ == root ? b : static_cast<int>(b > rank_);
+    buf.lo.push_back(static_cast<std::size_t>(chunks) * chunk);
+  }
   if (rank_ == root) {
     MBD_CHECK_EQ(all.size(), chunk * static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) continue;
-      csend<T>(r, all.subspan(static_cast<std::size_t>(r) * chunk, chunk),
-               Coll::Scatter, 0);
-    }
-    auto mine = all.subspan(static_cast<std::size_t>(rank_) * chunk, chunk);
-    return {mine.begin(), mine.end()};
+    std::copy_n(all.begin() + static_cast<std::ptrdiff_t>(rank_ * chunk),
+                chunk, out.begin());
   }
-  return crecv<T>(root, Coll::Scatter, 0);
+  run_rounds(scatter_rounds(p, rank_, root), Coll::Scatter, std::move(buf));
+  return out;
 }
-
-// ---------------------------------------------------------------------------
-// Nonblocking operation state machines.
-//
-// Each op is the corresponding blocking algorithm unrolled into a resumable
-// loop: a step posts its send once (`sent_` latches across advance() calls)
-// and then either polls or blocks for the matching receive. The schedules,
-// block math, and reduction order are copied from the blocking versions
-// above so byte counts and floating-point results are identical.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-template <typename T, typename Op>
-class IAllReduceOp final : public PendingOp {
- public:
-  IAllReduceOp(Comm comm, std::span<T> data, Op op, int tag_base,
-               std::uint64_t op_base)
-      : comm_(std::move(comm)),
-        data_(data),
-        op_(op),
-        tag_base_(tag_base),
-        op_base_(op_base) {}
-
-  bool advance(Drive drive) override {
-    const int p = comm_.size();
-    const int rank = comm_.rank();
-    const std::size_t n = data_.size();
-    const int right = (rank + 1) % p;
-    const int left = (rank - 1 + p) % p;
-    auto block = [&](int b) {
-      b = ((b % p) + p) % p;
-      return std::pair{Comm::block_lo(n, p, b), Comm::block_lo(n, p, b + 1)};
-    };
-    // Steps 0..p-2: reduce-scatter phase; steps p-1..2p-3: all-gather phase.
-    const int total = 2 * (p - 1);
-    while (step_ < total) {
-      const bool reduce_phase = step_ < p - 1;
-      const int s = reduce_phase ? step_ : step_ - (p - 1);
-      const auto [slo, shi] = reduce_phase ? block(rank - s)
-                                           : block(rank + 1 - s);
-      const auto [rlo, rhi] = reduce_phase ? block(rank - s - 1)
-                                           : block(rank - s);
-      if (!sent_) {
-        NbAccess::send(comm_, right,
-                       NbAccess::bytes(std::span<const T>(data_.data() + slo,
-                                                          shi - slo)),
-                       tag_base_ + step_, Coll::AllReduce,
-                       op_base_ == 0
-                           ? 0
-                           : op_base_ + static_cast<std::uint64_t>(step_));
-        sent_ = true;
-      }
-      if (drive == Drive::Post) return false;
-      std::vector<std::byte> raw;
-      if (drive == Drive::Block) {
-        raw = NbAccess::recv(comm_, left, tag_base_ + step_);
-      } else if (!NbAccess::try_recv(comm_, left, tag_base_ + step_, raw)) {
-        return false;
-      }
-      auto in = NbAccess::typed<T>(std::move(raw));
-      MBD_CHECK_EQ(in.size(), rhi - rlo);
-      if (reduce_phase) {
-        for (std::size_t i = 0; i < in.size(); ++i)
-          data_[rlo + i] = op_(data_[rlo + i], in[i]);
-      } else {
-        std::copy(in.begin(), in.end(),
-                  data_.begin() + static_cast<std::ptrdiff_t>(rlo));
-      }
-      sent_ = false;
-      ++step_;
-    }
-    return true;
-  }
-
- private:
-  Comm comm_;
-  std::span<T> data_;
-  Op op_;
-  int tag_base_;
-  std::uint64_t op_base_;  // first reserved injector op identity (0 = none)
-  int step_ = 0;
-  bool sent_ = false;
-};
-
-template <typename T>
-class IAllGatherOp final : public PendingOp {
- public:
-  IAllGatherOp(Comm comm, std::span<T> out, std::size_t m, int tag_base,
-               std::uint64_t op_base)
-      : comm_(std::move(comm)),
-        out_(out),
-        m_(m),
-        tag_base_(tag_base),
-        op_base_(op_base) {}
-
-  bool advance(Drive drive) override {
-    const int p = comm_.size();
-    const int rank = comm_.rank();
-    const int right = (rank + 1) % p;
-    const int left = (rank - 1 + p) % p;
-    while (step_ < p - 1) {
-      const int send_block = (rank - step_ + p) % p;
-      const int recv_block = (rank - step_ - 1 + p) % p;
-      if (!sent_) {
-        NbAccess::send(
-            comm_, right,
-            NbAccess::bytes(std::span<const T>(
-                out_.data() + static_cast<std::size_t>(send_block) * m_, m_)),
-            tag_base_ + step_, Coll::AllGather,
-            op_base_ == 0 ? 0
-                          : op_base_ + static_cast<std::uint64_t>(step_));
-        sent_ = true;
-      }
-      if (drive == Drive::Post) return false;
-      std::vector<std::byte> raw;
-      if (drive == Drive::Block) {
-        raw = NbAccess::recv(comm_, left, tag_base_ + step_);
-      } else if (!NbAccess::try_recv(comm_, left, tag_base_ + step_, raw)) {
-        return false;
-      }
-      auto in = NbAccess::typed<T>(std::move(raw));
-      MBD_CHECK_EQ(in.size(), m_);
-      std::copy(in.begin(), in.end(),
-                out_.begin() + static_cast<std::ptrdiff_t>(recv_block) *
-                                   static_cast<std::ptrdiff_t>(m_));
-      sent_ = false;
-      ++step_;
-    }
-    return true;
-  }
-
- private:
-  Comm comm_;
-  std::span<T> out_;
-  std::size_t m_;
-  int tag_base_;
-  std::uint64_t op_base_;  // first reserved injector op identity (0 = none)
-  int step_ = 0;
-  bool sent_ = false;
-};
-
-template <typename T>
-class IAllGatherVOp final : public PendingOp {
- public:
-  IAllGatherVOp(Comm comm, std::span<const T> local, std::vector<T>* out,
-                int tag_base, std::uint64_t op_base)
-      : comm_(std::move(comm)),
-        blocks_(static_cast<std::size_t>(comm_.size())),
-        out_(out),
-        tag_base_(tag_base),
-        op_base_(op_base) {
-    blocks_[static_cast<std::size_t>(comm_.rank())].assign(local.begin(),
-                                                           local.end());
-  }
-
-  bool advance(Drive drive) override {
-    const int p = comm_.size();
-    const int rank = comm_.rank();
-    const int right = (rank + 1) % p;
-    const int left = (rank - 1 + p) % p;
-    while (step_ < p - 1) {
-      const int send_origin = (rank - step_ + p) % p;
-      const int recv_origin = (rank - step_ - 1 + p) % p;
-      if (!sent_) {
-        NbAccess::send(comm_, right,
-                       NbAccess::bytes(std::span<const T>(
-                           blocks_[static_cast<std::size_t>(send_origin)])),
-                       tag_base_ + step_, Coll::AllGather,
-                       op_base_ == 0
-                           ? 0
-                           : op_base_ + static_cast<std::uint64_t>(step_));
-        sent_ = true;
-      }
-      if (drive == Drive::Post) return false;
-      std::vector<std::byte> raw;
-      if (drive == Drive::Block) {
-        raw = NbAccess::recv(comm_, left, tag_base_ + step_);
-      } else if (!NbAccess::try_recv(comm_, left, tag_base_ + step_, raw)) {
-        return false;
-      }
-      blocks_[static_cast<std::size_t>(recv_origin)] =
-          NbAccess::typed<T>(std::move(raw));
-      sent_ = false;
-      ++step_;
-    }
-    std::size_t total = 0;
-    for (const auto& b : blocks_) total += b.size();
-    out_->clear();
-    out_->reserve(total);
-    for (const auto& b : blocks_) out_->insert(out_->end(), b.begin(), b.end());
-    return true;
-  }
-
- private:
-  Comm comm_;
-  std::vector<std::vector<T>> blocks_;
-  std::vector<T>* out_;
-  int tag_base_;
-  std::uint64_t op_base_;  // first reserved injector op identity (0 = none)
-  int step_ = 0;
-  bool sent_ = false;
-};
-
-// The pending-receive half of isendrecv (the send is buffered at initiation).
-template <typename T>
-class IRecvOp final : public PendingOp {
- public:
-  IRecvOp(Comm comm, int src, int tag, std::vector<T>* out)
-      : comm_(std::move(comm)), src_(src), tag_(tag), out_(out) {}
-
-  bool advance(Drive drive) override {
-    // The send half was buffered at initiation; nothing to post here.
-    if (drive == Drive::Post) return false;
-    std::vector<std::byte> raw;
-    if (drive == Drive::Block) {
-      raw = NbAccess::recv(comm_, src_, tag_);
-    } else if (!NbAccess::try_recv(comm_, src_, tag_, raw)) {
-      return false;
-    }
-    *out_ = NbAccess::typed<T>(std::move(raw));
-    return true;
-  }
-
- private:
-  Comm comm_;
-  int src_;
-  int tag_;
-  std::vector<T>* out_;
-};
-
-}  // namespace detail
 
 template <typename T, typename Op>
 CollectiveHandle Comm::iallreduce(std::span<T> data, Op op) {
@@ -1078,13 +717,11 @@ CollectiveHandle Comm::iallreduce(std::span<T> data, Op op) {
                   .algo = static_cast<int>(AllReduceAlgo::Ring),
                   .nonblocking = true});
   if (size() == 1) return {};
-  const int tag_base = nb_tag_block();
-  const std::uint64_t op_base =
-      reserve_nb_ops(2 * static_cast<std::uint64_t>(size() - 1));
-  return make_handle(std::make_unique<detail::IAllReduceOp<T, Op>>(
-                         *this, data, op, tag_base, op_base),
-                     "iallreduce",
-                     "iallreduce(count=" + std::to_string(data.size()) + ')');
+  return start_rounds(allreduce_rounds(AllReduceAlgo::Ring, size(), rank_),
+                      Coll::AllReduce,
+                      detail::BlockBuffer<T>{.src = data, .dst = data}, op,
+                      "iallreduce",
+                      "iallreduce(count=" + std::to_string(data.size()) + ')');
 }
 
 template <typename T>
@@ -1098,15 +735,13 @@ CollectiveHandle Comm::iallgather(std::span<const T> local, std::span<T> out) {
   const std::size_t m = local.size();
   MBD_CHECK_EQ(out.size(), m * static_cast<std::size_t>(size()));
   std::copy(local.begin(), local.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(rank_) *
-                              static_cast<std::ptrdiff_t>(m));
+            out.begin() + static_cast<std::ptrdiff_t>(rank_ * m));
   if (size() == 1) return {};
-  const int tag_base = nb_tag_block();
-  const std::uint64_t op_base =
-      reserve_nb_ops(static_cast<std::uint64_t>(size() - 1));
-  return make_handle(std::make_unique<detail::IAllGatherOp<T>>(
-                         *this, out, m, tag_base, op_base),
-                     "iallgather", "iallgather(count=" + std::to_string(m) + ')');
+  return start_rounds(allgather_rounds(AllGatherAlgo::Ring, size(), rank_),
+                      Coll::AllGather,
+                      detail::BlockBuffer<T>{.src = out, .dst = out},
+                      detail::NoCombine{}, "iallgather",
+                      "iallgather(count=" + std::to_string(m) + ')');
 }
 
 template <typename T>
@@ -1122,14 +757,11 @@ CollectiveHandle Comm::iallgatherv(std::span<const T> local,
     out->assign(local.begin(), local.end());
     return {};
   }
-  const int tag_base = nb_tag_block();
-  const std::uint64_t op_base =
-      reserve_nb_ops(static_cast<std::uint64_t>(size() - 1));
-  return make_handle(std::make_unique<detail::IAllGatherVOp<T>>(
-                         *this, local, out, tag_base, op_base),
-                     "iallgatherv",
-                     "iallgatherv(local_count=" + std::to_string(local.size()) +
-                         ')');
+  return start_rounds(
+      allgather_rounds(AllGatherAlgo::Ring, size(), rank_), Coll::AllGather,
+      detail::learned(size(), rank_, local, out), detail::NoCombine{},
+      "iallgatherv",
+      "iallgatherv(local_count=" + std::to_string(local.size()) + ')');
 }
 
 template <typename T>

@@ -46,9 +46,10 @@ enum class Drive {
   Block,  ///< run to completion, blocking in recv (watchdog applies)
 };
 
-/// State machine for one in-flight nonblocking operation. Concrete ops (ring
-/// all-reduce, ring all-gather, pending recv) live in comm.hpp where the
-/// Comm definition is available.
+/// State machine for one in-flight nonblocking operation. The concrete ops
+/// live in comm.hpp, where the Comm definition is available: the round
+/// program interpreter (detail::RoundRunner, behind iallreduce, iallgather
+/// and iallgatherv) and isendrecv's pending receive (detail::IRecvOp).
 struct PendingOp {
   PendingOp() = default;
   PendingOp(const PendingOp&) = delete;

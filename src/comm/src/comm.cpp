@@ -265,15 +265,10 @@ void Comm::annotate_compute(double seconds) {
 void Comm::barrier() {
   const obs::ScopedSpan obs_span(obs::SpanKind::CollWait, "barrier");
   validate_entry({.kind = OpKind::Barrier});
-  const int p = size();
-  const std::byte token{0};
-  for (int k = 1, step = 0; k < p; k <<= 1, ++step) {
-    const int dst = (rank_ + k) % p;
-    const int src = (rank_ - k + p) % p;
-    send_bytes(dst, std::span<const std::byte>(&token, 1),
-               internal_tag(Coll::Barrier, step), Coll::Barrier);
-    (void)recv_bytes(src, internal_tag(Coll::Barrier, step));
-  }
+  unsigned char token = 0;
+  const std::span<unsigned char> buf(&token, 1);
+  run_rounds(barrier_rounds(size(), rank_), Coll::Barrier,
+             detail::BlockBuffer<unsigned char>{.src = buf, .dst = buf});
 }
 
 Comm Comm::split(int color, int key) {

@@ -62,27 +62,4 @@ CostBreakdown halo_cost(const MachineModel& m, double words);
 CostBreakdown pipeline_fill_drain_cost(const MachineModel& m, std::size_t p,
                                        double boundary_words_mb);
 
-/// --- exact word counts of the implemented algorithms ----------------------
-/// These mirror what mbd::comm's instrumented collectives actually move, and
-/// are used by the validation tests/bench (measured == predicted).
-
-/// Words sent per process by the Bruck all-gather of p blocks of
-/// `block_words`.
-double allgather_bruck_words_per_rank(std::size_t p, std::size_t block_words);
-
-/// Words sent per process by the ring all-reduce of an n-word vector
-/// (exact, accounting for the uneven ⌊n·b/p⌋ block partition; pass the rank
-/// because uneven blocks make the count rank-dependent).
-double allreduce_ring_words_per_rank(std::size_t p, std::size_t n,
-                                     std::size_t rank);
-
-/// Total words sent across all ranks by the ring all-reduce.
-double allreduce_ring_words_total(std::size_t p, std::size_t n);
-
-/// Messages sent per process by the ring all-reduce.
-std::size_t allreduce_ring_messages_per_rank(std::size_t p);
-
-/// Messages sent per process by the Bruck all-gather.
-std::size_t allgather_bruck_messages_per_rank(std::size_t p);
-
 }  // namespace mbd::costmodel

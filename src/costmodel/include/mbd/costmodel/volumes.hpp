@@ -1,12 +1,13 @@
-// Per-rank traffic volumes of the six distributed trainers, in closed form.
+// Per-rank traffic volumes of the seven distributed trainers.
 //
-// mbd/parallel/validation.hpp predicts each trainer's per-iteration bytes
-// *summed over all ranks*; these functions refine that to the exact bytes
-// *one* rank sends per iteration, per traffic class. The refinement matters
-// because the implemented algorithms are rank-asymmetric: the ring
+// trainer_rank_volume gives the exact bytes *one* rank sends per SGD
+// iteration, per traffic class. Each collective's share is a fold over the
+// round program (mbd/comm/rounds.hpp) that Comm itself executes, so the
+// prediction is the running algorithm by construction: the ring
 // all-reduce's uneven ⌊n·b/p⌋ blocks and the ring all-gatherv's uneven
-// origin blocks give different ranks different send volumes, even though
-// the totals stay closed form.
+// origin blocks give different ranks different send volumes, and the model
+// sees exactly those. Summed over ranks, these are the all-rank totals the
+// trainers' measured-versus-model tests and bench_validation_volume check.
 //
 // These are the reference the static schedule analyzer (mbd/analysis)
 // compares extracted schedules against byte-for-byte: analyzer-summed Send
@@ -54,24 +55,6 @@ struct RankVolume {
   }
 };
 
-/// --- exact per-rank send words of the implemented algorithms --------------
-
-/// Words sent by each rank of the Bruck all-gather of p equal blocks of
-/// `block_words` (rank-symmetric): Σ_{k=1,2,4,…<p} min(k, p−k)·block_words.
-std::uint64_t allgather_bruck_send_words(int p, std::uint64_t block_words);
-
-/// Words rank `rank` sends in the ring all-gatherv of per-origin blocks
-/// `block_words` (step s forwards the block that originated at rank−s):
-/// Σ_{s=0..p−2} block_words[(rank−s) mod p].
-std::uint64_t allgather_ringv_send_words(
-    const std::vector<std::uint64_t>& block_words, int rank);
-
-/// Words rank `rank` sends in the ring all-reduce of an n-word vector
-/// (uneven ⌊n·b/p⌋ partition; reduce-scatter + all-gather phases).
-std::uint64_t allreduce_ring_send_words(int p, std::size_t n, int rank);
-
-/// --- per-trainer closed forms ---------------------------------------------
-
 /// Exact bytes rank `rank` (global, row-major on the Pr×Pc grid: row =
 /// rank/pc, col = rank%pc) sends per iteration when training `specs` with
 /// the given trainer. Pure trainers (batch/model/domain) run on p = pr·pc
@@ -80,7 +63,8 @@ std::uint64_t allreduce_ring_send_words(int p, std::size_t n, int rank);
 /// all-gatherv otherwise, conv stacks halo-exchange and all-reduce per
 /// layer, and the mixed grid pays the Eq. 6 redistribution all-gatherv.
 /// Setup traffic (communicator splits, final parameter assembly) and the
-/// loss reduction are excluded, matching validation.hpp's conventions.
+/// loss reduction are excluded: tests measure per-iteration deltas to
+/// factor them out.
 ///
 /// The 1F1B pipeline trainer runs on p = pr·pc ranks as a linear chain of
 /// layer groups (MLP only). Its per-iteration point-to-point volume is

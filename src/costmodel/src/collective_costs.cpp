@@ -1,7 +1,5 @@
 #include "mbd/costmodel/collective_costs.hpp"
 
-#include <algorithm>
-
 #include "mbd/support/check.hpp"
 
 namespace mbd::costmodel {
@@ -49,47 +47,6 @@ CostBreakdown pipeline_fill_drain_cost(const MachineModel& m, std::size_t p,
   if (p <= 1) return {};
   const double hops = 2.0 * static_cast<double>(p - 1);
   return {hops * m.alpha, hops * m.word_time() * boundary_words_mb};
-}
-
-double allgather_bruck_words_per_rank(std::size_t p, std::size_t block_words) {
-  double words = 0.0;
-  for (std::size_t k = 1; k < p; k <<= 1)
-    words += static_cast<double>(std::min(k, p - k)) *
-             static_cast<double>(block_words);
-  return words;
-}
-
-double allreduce_ring_words_per_rank(std::size_t p, std::size_t n,
-                                     std::size_t rank) {
-  if (p <= 1) return 0.0;
-  auto block_size = [&](std::size_t b) {
-    return (n * (b + 1)) / p - (n * b) / p;
-  };
-  // Matches mbd::comm::Comm::allreduce_ring's schedule exactly: at step s,
-  // rank r sends block (r−s) in the reduce-scatter phase and block (r+1−s)
-  // in the all-gather phase.
-  double words = 0.0;
-  for (std::size_t s = 0; s + 1 < p; ++s) {
-    const std::size_t send1 = (rank + 2 * p - s) % p;      // reduce-scatter
-    const std::size_t send2 = (rank + 2 * p + 1 - s) % p;  // all-gather
-    words += static_cast<double>(block_size(send1) + block_size(send2));
-  }
-  return words;
-}
-
-double allreduce_ring_words_total(std::size_t p, std::size_t n) {
-  double t = 0.0;
-  for (std::size_t r = 0; r < p; ++r)
-    t += allreduce_ring_words_per_rank(p, n, r);
-  return t;
-}
-
-std::size_t allreduce_ring_messages_per_rank(std::size_t p) {
-  return p <= 1 ? 0 : 2 * (p - 1);
-}
-
-std::size_t allgather_bruck_messages_per_rank(std::size_t p) {
-  return static_cast<std::size_t>(ceil_log2(p));
 }
 
 }  // namespace mbd::costmodel

@@ -1,8 +1,6 @@
 #include "mbd/costmodel/volumes.hpp"
 
-#include <algorithm>
-
-#include "mbd/costmodel/collective_costs.hpp"
+#include "mbd/comm/rounds.hpp"
 #include "mbd/support/check.hpp"
 
 namespace mbd::costmodel {
@@ -19,44 +17,35 @@ std::uint64_t block_size(std::size_t n, int p, int index) {
   return hi - lo;
 }
 
-// Bytes a rank sends in the FC-layer output all-gather: row blocks of
-// d_out over p group members carrying b_loc batch columns each. Bruck when
-// p divides d_out (FcStage's dispatch), ring all-gatherv otherwise.
-std::uint64_t fc_allgather_bytes(std::size_t d_out, int p, std::size_t b_loc,
-                                 int group_rank) {
-  if (p <= 1) return 0;
-  if (d_out % static_cast<std::size_t>(p) == 0) {
-    return allgather_bruck_send_words(p, (d_out / static_cast<std::size_t>(p)) *
-                                             b_loc) *
-           kWordBytes;
-  }
-  std::vector<std::uint64_t> blocks(static_cast<std::size_t>(p));
-  for (int i = 0; i < p; ++i)
-    blocks[static_cast<std::size_t>(i)] = block_size(d_out, p, i) * b_loc;
-  return allgather_ringv_send_words(blocks, group_rank) * kWordBytes;
+// Words in each of the p canonical blocks of `rows` rows of `unit` words.
+std::vector<std::uint64_t> block_words(std::size_t rows, int p,
+                                       std::uint64_t unit = 1) {
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(p));
+  for (int b = 0; b < p; ++b)
+    words[static_cast<std::size_t>(b)] = block_size(rows, p, b) * unit;
+  return words;
 }
 
-// Bytes a rank sends gathering the conv output slabs (detail::gather_slabs):
-// height slabs of img_h rows over p members, each slab carrying n_loc
-// samples of c channels × w columns. Bruck when p divides img_h.
-std::uint64_t slab_allgather_bytes(std::size_t img_h, int p, std::size_t n_loc,
-                                   std::size_t c, std::size_t w,
-                                   int group_rank) {
-  if (p <= 1) return 0;
-  if (img_h % static_cast<std::size_t>(p) == 0) {
-    return allgather_bruck_send_words(
-               p, n_loc * c * (img_h / static_cast<std::size_t>(p)) * w) *
-           kWordBytes;
-  }
-  std::vector<std::uint64_t> blocks(static_cast<std::size_t>(p));
-  for (int i = 0; i < p; ++i)
-    blocks[static_cast<std::size_t>(i)] = n_loc * c * block_size(img_h, p, i) * w;
-  return allgather_ringv_send_words(blocks, group_rank) * kWordBytes;
+// Bytes a rank sends all-gathering `rows` rows of `unit` words each, cut
+// into p canonical row blocks: FC outputs (d_out rows of b_loc batch
+// columns) and conv output slabs (img_h rows of n_loc·c·w words). Bruck when
+// p divides `rows` (FcStage's and gather_slabs' dispatch), the ring
+// all-gatherv otherwise.
+std::uint64_t row_allgather_bytes(std::size_t rows, int p, std::uint64_t unit,
+                                  int group_rank) {
+  const auto algo = rows % static_cast<std::size_t>(p) == 0
+                        ? comm::AllGatherAlgo::Bruck
+                        : comm::AllGatherAlgo::Ring;
+  return comm::send_words(comm::allgather_rounds(algo, p, group_rank),
+                          block_words(rows, p, unit)) *
+         kWordBytes;
 }
 
 std::uint64_t ring_allreduce_bytes(int p, std::size_t n, int rank) {
-  if (p <= 1) return 0;
-  return allreduce_ring_send_words(p, n, rank) * kWordBytes;
+  return comm::send_words(
+             comm::allreduce_rounds(comm::AllReduceAlgo::Ring, p, rank),
+             block_words(n, p)) *
+         kWordBytes;
 }
 
 // Bytes a rank sends halo-exchanging one conv layer (forward + backward):
@@ -86,7 +75,7 @@ RankVolume model_parallel_volume(const std::vector<nn::LayerSpec>& specs,
   bool first = true;
   for (const auto& s : specs) {
     MBD_CHECK(s.kind == nn::LayerKind::FullyConnected);
-    v.allgather_bytes += fc_allgather_bytes(s.fc_out, p, batch, rank);
+    v.allgather_bytes += row_allgather_bytes(s.fc_out, p, batch, rank);
     if (!first)
       v.allreduce_bytes += ring_allreduce_bytes(p, s.fc_in * batch, rank);
     first = false;
@@ -103,7 +92,7 @@ RankVolume integrated_15d_volume(const std::vector<nn::LayerSpec>& specs,
   bool first = true;
   for (const auto& s : specs) {
     MBD_CHECK(s.kind == nn::LayerKind::FullyConnected);
-    v.allgather_bytes += fc_allgather_bytes(s.fc_out, pr, b_loc, row);
+    v.allgather_bytes += row_allgather_bytes(s.fc_out, pr, b_loc, row);
     if (!first)
       v.allreduce_bytes += ring_allreduce_bytes(pr, s.fc_in * b_loc, row);
     v.allreduce_bytes += ring_allreduce_bytes(
@@ -129,7 +118,7 @@ RankVolume domain_parallel_volume(const std::vector<nn::LayerSpec>& specs,
   MBD_CHECK(last_conv != nullptr);
   const auto& g = last_conv->conv;
   v.allgather_bytes +=
-      slab_allgather_bytes(img_h, p, batch, g.out_c, g.out_w(), rank);
+      row_allgather_bytes(img_h, p, batch * g.out_c * g.out_w(), rank);
   return v;
 }
 
@@ -151,7 +140,7 @@ RankVolume hybrid_volume(const std::vector<nn::LayerSpec>& specs,
       // Conv ∆W is all-reduced over ALL processes (weights fully replicated).
       v.allreduce_bytes += ring_allreduce_bytes(p, g.weight_count(), rank);
     } else if (s.kind == nn::LayerKind::FullyConnected) {
-      v.allgather_bytes += fc_allgather_bytes(s.fc_out, pr, b_loc, row);
+      v.allgather_bytes += row_allgather_bytes(s.fc_out, pr, b_loc, row);
       // Every FC layer's ∆X is reduced — the conv stack below needs even
       // the first FC layer's input gradient.
       v.allreduce_bytes += ring_allreduce_bytes(pr, s.fc_in * b_loc, row);
@@ -162,7 +151,7 @@ RankVolume hybrid_volume(const std::vector<nn::LayerSpec>& specs,
   MBD_CHECK(last_conv != nullptr);
   const auto& g = last_conv->conv;
   v.allgather_bytes +=
-      slab_allgather_bytes(img_h, pr, b_loc, g.out_c, g.out_w(), row);
+      row_allgather_bytes(img_h, pr, b_loc * g.out_c * g.out_w(), row);
   return v;
 }
 
@@ -207,7 +196,7 @@ RankVolume mixed_grid_volume(const std::vector<nn::LayerSpec>& specs,
         d_conv_out = s.d_out();
         break;
       case nn::LayerKind::FullyConnected:
-        v.allgather_bytes += fc_allgather_bytes(s.fc_out, pr, b_loc, row);
+        v.allgather_bytes += row_allgather_bytes(s.fc_out, pr, b_loc, row);
         v.allreduce_bytes += ring_allreduce_bytes(pr, s.fc_in * b_loc, row);
         v.allreduce_bytes += ring_allreduce_bytes(
             pc, block_size(s.fc_out, pr, row) * s.fc_in, col);
@@ -218,13 +207,15 @@ RankVolume mixed_grid_volume(const std::vector<nn::LayerSpec>& specs,
   // Eq. 6 redistribution: always the ring all-gatherv (RedistributeStage),
   // over the model group; member m contributes its conv-phase column block
   // (index col·Pr + m of the canonical P-way batch partition).
-  if (pr > 1) {
-    std::vector<std::uint64_t> blocks(static_cast<std::size_t>(pr));
-    for (int m = 0; m < pr; ++m)
-      blocks[static_cast<std::size_t>(m)] =
-          d_conv_out * block_size(batch, p, col * pr + m);
-    v.allgather_bytes += allgather_ringv_send_words(blocks, row) * kWordBytes;
+  std::vector<std::uint64_t> blocks(static_cast<std::size_t>(pr));
+  for (int m = 0; m < pr; ++m) {
+    blocks[static_cast<std::size_t>(m)] =
+        d_conv_out * block_size(batch, p, col * pr + m);
   }
+  v.allgather_bytes +=
+      comm::send_words(
+          comm::allgather_rounds(comm::AllGatherAlgo::Ring, pr, row), blocks) *
+      kWordBytes;
   return v;
 }
 
@@ -241,38 +232,6 @@ std::string_view trainer_kind_name(TrainerKind k) {
     case TrainerKind::Pipeline: return "pipeline";
   }
   return "?";
-}
-
-std::uint64_t allgather_bruck_send_words(int p, std::uint64_t block_words) {
-  MBD_CHECK_GT(p, 0);
-  std::uint64_t words = 0;
-  for (std::uint64_t k = 1; k < static_cast<std::uint64_t>(p); k <<= 1) {
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(k, static_cast<std::uint64_t>(p) - k);
-    words += chunk * block_words;
-  }
-  return words;
-}
-
-std::uint64_t allgather_ringv_send_words(
-    const std::vector<std::uint64_t>& block_words, int rank) {
-  const int p = static_cast<int>(block_words.size());
-  MBD_CHECK(rank >= 0 && rank < p);
-  std::uint64_t words = 0;
-  for (int s = 0; s < p - 1; ++s)
-    words += block_words[static_cast<std::size_t>((rank - s + p) % p)];
-  return words;
-}
-
-std::uint64_t allreduce_ring_send_words(int p, std::size_t n, int rank) {
-  MBD_CHECK_GT(p, 0);
-  MBD_CHECK(rank >= 0 && rank < p);
-  // The existing double-valued per-rank count is exact for word counts far
-  // below 2^53; round defensively anyway.
-  return static_cast<std::uint64_t>(
-      allreduce_ring_words_per_rank(static_cast<std::size_t>(p), n,
-                                    static_cast<std::size_t>(rank)) +
-      0.5);
 }
 
 RankVolume trainer_rank_volume(TrainerKind kind,

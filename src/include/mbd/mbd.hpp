@@ -14,6 +14,7 @@
 // comm: the message-passing runtime
 #include "mbd/comm/comm.hpp"
 #include "mbd/comm/nonblocking.hpp"
+#include "mbd/comm/rounds.hpp"
 #include "mbd/comm/schedule_recorder.hpp"
 #include "mbd/comm/stats.hpp"
 #include "mbd/comm/trace.hpp"
@@ -63,7 +64,6 @@
 #include "mbd/parallel/mixed_grid.hpp"
 #include "mbd/parallel/model_parallel.hpp"
 #include "mbd/parallel/summa.hpp"
-#include "mbd/parallel/validation.hpp"
 
 // serve: forward-only execution and the request gateway
 #include "mbd/serve/gateway.hpp"

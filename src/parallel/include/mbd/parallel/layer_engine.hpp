@@ -14,9 +14,9 @@
 // Overlap (ReduceMode::Overlapped) is *executable*, not modeled: ∆W ring
 // all-reduces are issued as nonblocking collectives (mbd/comm/nonblocking.hpp)
 // and drained behind the remaining layers' GEMMs; ∆X all-reduces hide behind
-// the same layer's ∆W GEMM. The nonblocking ring runs the identical schedule
-// as the blocking one, so byte counts (validation.hpp) and numerics match the
-// blocking mode bit for bit.
+// the same layer's ∆W GEMM. The nonblocking ring runs the same round program
+// as the blocking one, so byte counts (costmodel::trainer_rank_volume) and
+// numerics match the blocking mode bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -105,6 +105,26 @@ TEST(EdgeCases, NonPowerOfTwoEverywhere) {
   }
 }
 
+TEST(EdgeCases, FoldStepRejectsShortVector) {
+  // One rank passes a shorter vector than its fold partner expects. With
+  // validation off nothing else catches the mismatch, so the fold step's
+  // receive must check the payload size instead of reading past it.
+  for (const auto algo :
+       {AllReduceAlgo::RecursiveDoubling, AllReduceAlgo::Rabenseifner}) {
+    for (int p : {3, 6}) {
+      World world(p);
+      world.disable_validation();
+      EXPECT_THROW(world.run([algo](Comm& c) {
+                     std::vector<float> v(c.rank() == 1 ? 2 : 1000, 1.0f);
+                     c.allreduce(std::span<float>(v), std::plus<float>{},
+                                 algo);
+                   }),
+                   mbd::Error)
+          << "p=" << p << " algo=" << static_cast<int>(algo);
+    }
+  }
+}
+
 TEST(EdgeCases, VectorShorterThanRanks) {
   // Ring all-reduce with n < P: most blocks are empty.
   World world(8);

@@ -1,6 +1,6 @@
 // Nonblocking collectives: completed results must be bitwise equal to the
 // blocking algorithms, traffic must be identical to the blocking ring (that
-// identity is what lets validation.hpp's exact predictions hold in
+// identity is what lets trainer_rank_volume's exact predictions hold in
 // overlapped trainer mode), handles must complete in any order, and the
 // validator must turn the two new failure modes — a blocking/nonblocking
 // mode mismatch across ranks, and a CollectiveHandle that is never driven

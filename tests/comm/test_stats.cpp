@@ -5,8 +5,8 @@
 
 #include <vector>
 
+#include "comm/closed_forms.hpp"
 #include "mbd/comm/world.hpp"
-#include "mbd/costmodel/collective_costs.hpp"
 
 namespace mbd::comm {
 namespace {
@@ -21,14 +21,13 @@ TEST_P(StatsSweep, RingAllReduceBytesMatchClosedForm) {
     c.allreduce(std::span<float>(v), std::plus<float>{}, AllReduceAlgo::Ring);
   });
   const auto s = world.stats();
-  const double expect_words =
-      costmodel::allreduce_ring_words_total(static_cast<std::size_t>(p), n);
-  EXPECT_EQ(s[Coll::AllReduce].bytes,
-            static_cast<std::uint64_t>(expect_words) * sizeof(float));
+  std::uint64_t expect_words = 0;
+  for (int r = 0; r < p; ++r)
+    expect_words += closed_form::ring_allreduce_words(p, n, r);
+  EXPECT_EQ(s[Coll::AllReduce].bytes, expect_words * sizeof(float));
   EXPECT_EQ(s[Coll::AllReduce].messages,
             static_cast<std::uint64_t>(p) *
-                costmodel::allreduce_ring_messages_per_rank(
-                    static_cast<std::size_t>(p)));
+                closed_form::ring_allreduce_messages(p));
 }
 
 TEST_P(StatsSweep, BruckAllGatherBytesMatchClosedForm) {
@@ -39,14 +38,11 @@ TEST_P(StatsSweep, BruckAllGatherBytesMatchClosedForm) {
     (void)c.allgather(std::span<const float>(v), AllGatherAlgo::Bruck);
   });
   const auto s = world.stats();
-  const double per_rank = costmodel::allgather_bruck_words_per_rank(
-      static_cast<std::size_t>(p), n);
+  const std::uint64_t per_rank = closed_form::bruck_words(p, n);
   EXPECT_EQ(s[Coll::AllGather].bytes,
-            static_cast<std::uint64_t>(per_rank * p) * sizeof(float));
+            per_rank * static_cast<std::uint64_t>(p) * sizeof(float));
   EXPECT_EQ(s[Coll::AllGather].messages,
-            static_cast<std::uint64_t>(p) *
-                costmodel::allgather_bruck_messages_per_rank(
-                    static_cast<std::size_t>(p)));
+            static_cast<std::uint64_t>(p) * closed_form::bruck_messages(p));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -109,8 +105,7 @@ TEST(Stats, PerRankAllGatherVolumeMatchesPaperFormula) {
   // Paper: all-gather moves (P−1)/P of the full buffer per process.
   const int p = 8;
   const std::size_t block = 100;
-  const double per_rank =
-      costmodel::allgather_bruck_words_per_rank(static_cast<std::size_t>(p), block);
+  const auto per_rank = static_cast<double>(closed_form::bruck_words(p, block));
   EXPECT_DOUBLE_EQ(per_rank,
                    static_cast<double>(block) * (p - 1));  // = (P−1)/P · P·block
 }
@@ -118,7 +113,8 @@ TEST(Stats, PerRankAllGatherVolumeMatchesPaperFormula) {
 TEST(Stats, RingAllReduceVolumeMatchesPaperFormula) {
   // Paper: ring all-reduce moves 2·(P−1)/P · n words per process.
   const std::size_t p = 8, n = 800;  // divisible: exact equality
-  const double per_rank = costmodel::allreduce_ring_words_per_rank(p, n, 0);
+  const auto per_rank = static_cast<double>(
+      closed_form::ring_allreduce_words(static_cast<int>(p), n, 0));
   EXPECT_DOUBLE_EQ(per_rank, 2.0 * static_cast<double>(n) *
                                  static_cast<double>(p - 1) /
                                  static_cast<double>(p));

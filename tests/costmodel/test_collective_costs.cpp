@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "mbd/comm/rounds.hpp"
+
 namespace mbd::costmodel {
 namespace {
 
@@ -68,33 +73,66 @@ TEST(CostBreakdown, Arithmetic) {
   EXPECT_DOUBLE_EQ(a.scaled(2.0).bandwidth, 4.0);
 }
 
+// The exact counts the cost model folds out of the executed round programs
+// (comm::send_words over comm::*_rounds), checked against literals.
+
+double bruck_words_per_rank(int p, std::uint64_t block_words) {
+  return static_cast<double>(comm::send_words(
+      comm::allgather_rounds(comm::AllGatherAlgo::Bruck, p, 0),
+      std::vector<std::uint64_t>(static_cast<std::size_t>(p), block_words)));
+}
+
+double ring_allreduce_words_per_rank(int p, std::uint64_t n, int rank) {
+  const auto pp = static_cast<std::uint64_t>(p);
+  std::vector<std::uint64_t> blocks(static_cast<std::size_t>(p));
+  for (std::uint64_t b = 0; b < pp; ++b)
+    blocks[b] = n * (b + 1) / pp - n * b / pp;
+  return static_cast<double>(comm::send_words(
+      comm::allreduce_rounds(comm::AllReduceAlgo::Ring, p, rank), blocks));
+}
+
+double ring_allreduce_words_total(int p, std::uint64_t n) {
+  double total = 0.0;
+  for (int r = 0; r < p; ++r) total += ring_allreduce_words_per_rank(p, n, r);
+  return total;
+}
+
+std::size_t ring_allreduce_messages_per_rank(int p) {
+  return comm::allreduce_rounds(comm::AllReduceAlgo::Ring, p, 0).rounds.size();
+}
+
+std::size_t bruck_messages_per_rank(int p) {
+  return comm::allgather_rounds(comm::AllGatherAlgo::Bruck, p, 0).rounds.size();
+}
+
 TEST(ExactCounts, BruckWordsEqualPMinus1Blocks) {
-  for (std::size_t p : {2u, 3u, 5u, 8u, 16u}) {
-    EXPECT_DOUBLE_EQ(allgather_bruck_words_per_rank(p, 10),
+  for (int p : {2, 3, 5, 8, 16}) {
+    EXPECT_DOUBLE_EQ(bruck_words_per_rank(p, 10),
                      static_cast<double>((p - 1) * 10));
   }
 }
 
 TEST(ExactCounts, RingAllReduceDivisibleCase) {
   // n divisible by p: every rank sends exactly 2n(p−1)/p words.
-  for (std::size_t r = 0; r < 4; ++r)
-    EXPECT_DOUBLE_EQ(allreduce_ring_words_per_rank(4, 400, r), 600.0);
-  EXPECT_DOUBLE_EQ(allreduce_ring_words_total(4, 400), 2400.0);
+  for (int r = 0; r < 4; ++r)
+    EXPECT_DOUBLE_EQ(ring_allreduce_words_per_rank(4, 400, r), 600.0);
+  EXPECT_DOUBLE_EQ(ring_allreduce_words_total(4, 400), 2400.0);
 }
 
 TEST(ExactCounts, RingAllReduceUnevenTotalConserved) {
   // n not divisible: per-rank counts vary but the total equals
   // 2·(sum of all blocks sent) = 2·(p−1)·n.
-  const std::size_t p = 4, n = 403;
-  EXPECT_DOUBLE_EQ(allreduce_ring_words_total(p, n),
+  const int p = 4;
+  const std::uint64_t n = 403;
+  EXPECT_DOUBLE_EQ(ring_allreduce_words_total(p, n),
                    2.0 * static_cast<double>((p - 1) * n));
 }
 
 TEST(ExactCounts, MessagesPerRank) {
-  EXPECT_EQ(allreduce_ring_messages_per_rank(8), 14u);
-  EXPECT_EQ(allreduce_ring_messages_per_rank(1), 0u);
-  EXPECT_EQ(allgather_bruck_messages_per_rank(8), 3u);
-  EXPECT_EQ(allgather_bruck_messages_per_rank(5), 3u);
+  EXPECT_EQ(ring_allreduce_messages_per_rank(8), 14u);
+  EXPECT_EQ(ring_allreduce_messages_per_rank(1), 0u);
+  EXPECT_EQ(bruck_messages_per_rank(8), 3u);
+  EXPECT_EQ(bruck_messages_per_rank(5), 3u);
 }
 
 }  // namespace

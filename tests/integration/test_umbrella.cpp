@@ -22,8 +22,11 @@ TEST(Umbrella, ExposesEverySubsystem) {
   const auto machine = mbd::costmodel::MachineModel::cori_knl();
   EXPECT_GT(machine.word_time(), 0.0);
 
-  const auto pred = mbd::parallel::predict_batch_parallel(specs, 4);
+  const auto pred = mbd::costmodel::trainer_rank_volume(
+      mbd::costmodel::TrainerKind::BatchParallel, specs, 16, 1, 4, 0);
   EXPECT_GT(pred.allreduce_bytes, 0u);
+
+  EXPECT_EQ(mbd::parallel::block_range(10, 4, 1).size(), 3u);
 }
 
 }  // namespace

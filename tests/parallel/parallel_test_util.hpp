@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mbd/comm/world.hpp"
+#include "mbd/costmodel/volumes.hpp"
 #include "mbd/nn/models.hpp"
 #include "mbd/nn/network.hpp"
 #include "mbd/nn/trainer.hpp"
@@ -73,6 +74,17 @@ inline void expect_params_close(const std::vector<float>& a,
   for (std::size_t i = 0; i < a.size(); ++i)
     worst = std::max(worst, std::abs(a[i] - b[i]));
   EXPECT_LE(worst, tol);
+}
+
+/// The cost model's bytes per iteration, summed over all ranks of the
+/// pr × pc grid (pure trainers: pr·pc = P).
+inline costmodel::RankVolume predicted_volume(
+    costmodel::TrainerKind kind, const std::vector<nn::LayerSpec>& specs,
+    std::size_t batch, int pr, int pc) {
+  costmodel::RankVolume total;
+  for (int r = 0; r < pr * pc; ++r)
+    total += costmodel::trainer_rank_volume(kind, specs, batch, pr, pc, r);
+  return total;
 }
 
 }  // namespace mbd::parallel::testing

@@ -2,11 +2,12 @@
 // both reduce modes, over uneven partitions (P ∤ d_out, Pc ∤ B, uneven
 // height slabs). For each trainer the two modes must produce bitwise-equal
 // loss trajectories and parameters (the nonblocking ring is the blocking
-// ring, resumable), identical per-iteration traffic in every class, and —
-// where validation.hpp has a closed form — exactly the predicted byte
-// counts. Finally, a traced 1.5D run is replayed under the α–β machine
-// model to show that Overlapped mode actually hides reduction traffic
-// behind annotated GEMM compute (smaller makespan, less recv wait).
+// ring, resumable), identical per-iteration traffic in every class, and
+// exactly the byte counts the cost model predicts (Σ over ranks of
+// costmodel::trainer_rank_volume). Finally, a traced 1.5D run is replayed
+// under the α–β machine model to show that Overlapped mode actually hides
+// reduction traffic behind annotated GEMM compute (smaller makespan, less
+// recv wait).
 #include "mbd/parallel/layer_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -25,14 +26,15 @@
 #include "mbd/parallel/mixed_grid.hpp"
 #include "mbd/parallel/model_parallel.hpp"
 #include "mbd/parallel/pipeline.hpp"
-#include "mbd/parallel/validation.hpp"
 #include "parallel_test_util.hpp"
 
 namespace mbd::parallel {
 namespace {
 
+using costmodel::TrainerKind;
 using testing::expect_losses_close;
 using testing::expect_params_close;
+using testing::predicted_volume;
 using testing::run_reference;
 
 struct ModeRun {
@@ -89,7 +91,8 @@ void expect_modes_equivalent(const ModeRun& blocking, const ModeRun& overlapped)
   }
 }
 
-void expect_predicted(const ModeRun& m, const TrafficPrediction& predicted,
+void expect_predicted(const ModeRun& m,
+                      const costmodel::RankVolume& predicted,
                       const char* label) {
   EXPECT_EQ(per_iteration(m, comm::Coll::AllReduce).bytes,
             predicted.allreduce_bytes)
@@ -123,10 +126,10 @@ TEST(LayerEngine, ModelParallelBothModesUnevenRows) {
   const ModeRun blocking = run_mode(p, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(p, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  expect_predicted(blocking, predict_model_parallel(specs, cfg.batch, p),
-                   "blocking");
-  expect_predicted(overlapped, predict_model_parallel(specs, cfg.batch, p),
-                   "overlapped");
+  const auto predicted =
+      predicted_volume(TrainerKind::ModelParallel, specs, cfg.batch, p, 1);
+  expect_predicted(blocking, predicted, "blocking");
+  expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
   expect_losses_close(blocking.res.losses, ref.losses);
   expect_params_close(blocking.res.params, ref.params);
@@ -145,8 +148,10 @@ TEST(LayerEngine, BatchParallelBothModesUnevenColumns) {
   const ModeRun blocking = run_mode(p, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(p, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  expect_predicted(blocking, predict_batch_parallel(specs, p), "blocking");
-  expect_predicted(overlapped, predict_batch_parallel(specs, p), "overlapped");
+  const auto predicted =
+      predicted_volume(TrainerKind::BatchParallel, specs, cfg.batch, 1, p);
+  expect_predicted(blocking, predicted, "blocking");
+  expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
   expect_losses_close(blocking.res.losses, ref.losses);
   expect_params_close(blocking.res.params, ref.params);
@@ -167,7 +172,8 @@ TEST(LayerEngine, Integrated15DBothModesUnevenGrids) {
     const ModeRun blocking = run_mode(pr * pc, ReduceMode::Blocking, fn);
     const ModeRun overlapped = run_mode(pr * pc, ReduceMode::Overlapped, fn);
     expect_modes_equivalent(blocking, overlapped);
-    const auto predicted = predict_integrated_15d(specs, cfg.batch, grid);
+    const auto predicted =
+        predicted_volume(TrainerKind::Integrated15D, specs, cfg.batch, pr, pc);
     expect_predicted(blocking, predicted, "blocking");
     expect_predicted(overlapped, predicted, "overlapped");
     expect_losses_close(blocking.res.losses, ref.losses);
@@ -198,10 +204,10 @@ TEST(LayerEngine, DomainParallelBothModesUnevenSlabs) {
   const ModeRun blocking = run_mode(p, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(p, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  expect_predicted(blocking, predict_domain_parallel(specs, cfg.batch, p),
-                   "blocking");
-  expect_predicted(overlapped, predict_domain_parallel(specs, cfg.batch, p),
-                   "overlapped");
+  const auto predicted =
+      predicted_volume(TrainerKind::DomainParallel, specs, cfg.batch, p, 1);
+  expect_predicted(blocking, predicted, "blocking");
+  expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
   expect_losses_close(blocking.res.losses, ref.losses);
   expect_params_close(blocking.res.params, ref.params);
@@ -221,7 +227,8 @@ TEST(LayerEngine, HybridBothModesUnevenBatch) {
   const ModeRun blocking = run_mode(4, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(4, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  const auto predicted = predict_hybrid(specs, cfg.batch, grid);
+  const auto predicted = predicted_volume(TrainerKind::Hybrid, specs,
+                                          cfg.batch, grid.pr, grid.pc);
   expect_predicted(blocking, predicted, "blocking");
   expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
@@ -242,7 +249,8 @@ TEST(LayerEngine, MixedGridBothModesUnevenBatch) {
   const ModeRun blocking = run_mode(4, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(4, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  const auto predicted = predict_mixed_grid(specs, cfg.batch, grid);
+  const auto predicted = predicted_volume(TrainerKind::MixedGrid, specs,
+                                          cfg.batch, grid.pr, grid.pc);
   expect_predicted(blocking, predicted, "blocking");
   expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
@@ -266,7 +274,8 @@ TEST(LayerEngine, PipelineBothModesUnevenStagesAndMicrobatches) {
   const ModeRun blocking = run_mode(p, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(p, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  const auto predicted = predict_pipeline(specs, cfg.batch, p);
+  const auto predicted =
+      predicted_volume(TrainerKind::Pipeline, specs, cfg.batch, 1, p);
   EXPECT_EQ(predicted.allreduce_bytes, 0u);
   EXPECT_EQ(predicted.allgather_bytes, 0u);
   expect_predicted(blocking, predicted, "blocking");
@@ -294,7 +303,8 @@ TEST(LayerEngine, PipelineTrafficIndependentOfMicrobatchCount) {
   };
   const ModeRun m1 = run_m(1);
   const ModeRun m5 = run_m(5);
-  const auto predicted = predict_pipeline(specs, cfg.batch, p);
+  const auto predicted =
+      predicted_volume(TrainerKind::Pipeline, specs, cfg.batch, 1, p);
   expect_predicted(m1, predicted, "one microbatch");
   expect_predicted(m5, predicted, "five microbatches");
   EXPECT_EQ(per_iteration(m5, comm::Coll::PointToPoint).messages,

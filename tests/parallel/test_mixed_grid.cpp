@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "mbd/parallel/batch_parallel.hpp"
-#include "mbd/parallel/validation.hpp"
 #include "parallel_test_util.hpp"
 
 namespace mbd::parallel {
@@ -86,7 +85,8 @@ TEST(MixedGrid, TrafficMatchesPrediction) {
     };
     const auto s1 = run(1);
     const auto s3 = run(3);
-    const auto pred = predict_mixed_grid(prob.specs, prob.cfg.batch, grid);
+    const auto pred = testing::predicted_volume(
+        costmodel::TrainerKind::MixedGrid, prob.specs, prob.cfg.batch, pr, pc);
     EXPECT_EQ((s3[comm::Coll::AllReduce].bytes -
                s1[comm::Coll::AllReduce].bytes) / 2,
               pred.allreduce_bytes)

@@ -1,10 +1,9 @@
 // Measured-equals-predicted communication volumes: the executed trainers'
-// instrumented byte counts must match the closed-form predictions exactly.
-// This certifies the paper's Eq. 3/4/7/8 bandwidth terms against running
-// code — the bandwidth words of those formulas are per-process counts of
-// precisely these collectives.
-#include "mbd/parallel/validation.hpp"
-
+// instrumented byte counts must match the cost model's prediction (Σ over
+// ranks of costmodel::trainer_rank_volume) exactly. This certifies the
+// paper's Eq. 3/4/7/8 bandwidth terms against running code — the bandwidth
+// words of those formulas are per-process counts of precisely these
+// collectives.
 #include <gtest/gtest.h>
 
 #include "mbd/parallel/batch_parallel.hpp"
@@ -17,11 +16,15 @@
 namespace mbd::parallel {
 namespace {
 
+using costmodel::RankVolume;
+using costmodel::TrainerKind;
+using testing::predicted_volume;
+
 /// Runs `fn` for 1 and for 3 iterations and returns the per-iteration byte
 /// deltas — factoring out setup traffic (communicator splits, final
 /// parameter assembly) that happens once per run.
 template <typename Fn>
-TrafficPrediction measure_per_iteration(int p, Fn fn) {
+RankVolume measure_per_iteration(int p, Fn fn) {
   auto run = [&](std::size_t iters) {
     comm::World world(p);
     world.run([&](comm::Comm& c) { fn(c, iters); });
@@ -29,7 +32,7 @@ TrafficPrediction measure_per_iteration(int p, Fn fn) {
   };
   const auto s1 = run(1);
   const auto s3 = run(3);
-  TrafficPrediction t;
+  RankVolume t;
   t.allreduce_bytes = (s3[comm::Coll::AllReduce].bytes -
                        s1[comm::Coll::AllReduce].bytes) /
                       2;
@@ -54,7 +57,8 @@ TEST(Validation, BatchParallelAllReduceVolume) {
       c2.iterations = iters;
       (void)train_batch_parallel(c, specs, data, c2);
     });
-    const auto predicted = predict_batch_parallel(specs, p);
+    const auto predicted = predicted_volume(TrainerKind::BatchParallel, specs,
+                                            cfg.batch, 1, p);
     EXPECT_EQ(measured.allreduce_bytes, predicted.allreduce_bytes) << "p=" << p;
     EXPECT_EQ(measured.allgather_bytes, 0u) << "p=" << p;
     EXPECT_EQ(measured.p2p_bytes, 0u) << "p=" << p;
@@ -73,7 +77,8 @@ TEST(Validation, ModelParallelVolumes) {
       c2.iterations = iters;
       (void)train_model_parallel(c, specs, data, c2);
     });
-    const auto predicted = predict_model_parallel(specs, cfg.batch, p);
+    const auto predicted = predicted_volume(TrainerKind::ModelParallel, specs,
+                                            cfg.batch, p, 1);
     EXPECT_EQ(measured.allgather_bytes, predicted.allgather_bytes) << "p=" << p;
     EXPECT_EQ(measured.allreduce_bytes, predicted.allreduce_bytes) << "p=" << p;
   }
@@ -94,7 +99,8 @@ TEST(Validation, Integrated15DVolumes) {
           c2.iterations = iters;
           (void)train_integrated_15d(c, grid, specs, data, c2);
         });
-    const auto predicted = predict_integrated_15d(specs, cfg.batch, grid);
+    const auto predicted =
+        predicted_volume(TrainerKind::Integrated15D, specs, cfg.batch, pr, pc);
     EXPECT_EQ(measured.allgather_bytes, predicted.allgather_bytes)
         << "grid " << pr << "x" << pc;
     EXPECT_EQ(measured.allreduce_bytes, predicted.allreduce_bytes)
@@ -118,7 +124,8 @@ TEST(Validation, DomainParallelVolumes) {
       c2.iterations = iters;
       (void)train_domain_parallel(c, specs, data, c2);
     });
-    const auto predicted = predict_domain_parallel(specs, cfg.batch, p);
+    const auto predicted = predicted_volume(TrainerKind::DomainParallel,
+                                            specs, cfg.batch, p, 1);
     EXPECT_EQ(measured.p2p_bytes, predicted.p2p_bytes) << "p=" << p;
     EXPECT_EQ(measured.allgather_bytes, predicted.allgather_bytes) << "p=" << p;
     EXPECT_EQ(measured.allreduce_bytes, predicted.allreduce_bytes) << "p=" << p;
@@ -143,7 +150,8 @@ TEST(Validation, HybridVolumes) {
           c2.iterations = iters;
           (void)train_hybrid(c, grid, specs, data, c2);
         });
-    const auto predicted = predict_hybrid(specs, cfg.batch, grid);
+    const auto predicted =
+        predicted_volume(TrainerKind::Hybrid, specs, cfg.batch, pr, pc);
     EXPECT_EQ(measured.p2p_bytes, predicted.p2p_bytes)
         << "grid " << pr << "x" << pc;
     EXPECT_EQ(measured.allgather_bytes, predicted.allgather_bytes)
@@ -159,7 +167,8 @@ TEST(Validation, PredictionMatchesPaperBandwidthTerm) {
   // per process times P processes times 4 bytes.
   const auto specs = nn::mlp_spec({16, 32, 8});
   const int p = 4;
-  const auto t = predict_batch_parallel(specs, p);
+  const auto t =
+      predicted_volume(TrainerKind::BatchParallel, specs, 16, 1, p);
   const double total_w = 16 * 32 + 32 * 8;
   EXPECT_DOUBLE_EQ(static_cast<double>(t.allreduce_bytes),
                    p * 2.0 * (p - 1) / p * total_w * 4.0);
