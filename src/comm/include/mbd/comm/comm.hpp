@@ -95,10 +95,15 @@ class Comm {
     send(dst, std::span<const T>(data), tag);
   }
 
-  /// Receive a message from communicator rank `src` with `tag`; blocks.
+  /// Receive a message from communicator rank `src` with `tag`; blocks. The
+  /// wait is a CollWait span, so a pipeline bubble or a halo wait reads as
+  /// communication, not as the calling stage's own time.
   template <typename T>
   std::vector<T> recv(int src, int tag = 0) {
-    return from_bytes<T>(recv_bytes(src, tag));
+    obs::ScopedSpan obs_span(obs::SpanKind::CollWait, "recv");
+    std::vector<T> out = from_bytes<T>(recv_bytes(src, tag));
+    obs_span.set_args(out.size() * sizeof(T), 0);
+    return out;
   }
 
   /// Simultaneous exchange with (possibly different) peers; deadlock-free by

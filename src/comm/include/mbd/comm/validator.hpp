@@ -116,8 +116,18 @@ class Validator {
   void on_enter(std::uint64_t context, int comm_rank, int global_rank,
                 int comm_size, const CollectiveDesc& desc);
 
+  /// One user point-to-point operation, kept raw: only deadlock_report()
+  /// formats it, so the hot send/recv path builds no string.
+  struct P2pOp {
+    enum class Dir : std::uint8_t { None, Send, Recv };
+    Dir dir = Dir::None;
+    int peer = 0;  ///< global rank of the destination or source
+    int tag = 0;
+    std::size_t bytes = 0;  ///< payload size (sends only)
+  };
+
   /// Record user point-to-point activity (for the deadlock report only).
-  void on_p2p(int global_rank, std::string activity);
+  void on_p2p(int global_rank, const P2pOp& op);
 
   /// Track a nonblocking operation from initiation to completion. The token
   /// returned by on_nb_initiated is surrendered via on_nb_completed when the
@@ -197,7 +207,7 @@ class Validator {
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, ContextState> contexts_;
   std::vector<std::string> last_collective_;  // per global rank
-  std::vector<std::string> last_p2p_;         // per global rank
+  std::vector<P2pOp> last_p2p_;               // per global rank
   // Per global rank: token -> description of in-flight nonblocking ops.
   // std::map keeps initiation order (tokens are issued monotonically).
   std::vector<std::map<std::uint64_t, std::string>> nb_inflight_;

@@ -1,7 +1,6 @@
 #include "mbd/comm/comm.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <tuple>
 
 namespace mbd::comm {
@@ -75,10 +74,7 @@ void Comm::send_bytes(int dst, std::span<const std::byte> data, int tag,
     }
   }
   if (Validator* v = fabric_->validator.get(); v != nullptr && c == Coll::PointToPoint) {
-    std::ostringstream os;
-    os << "send(to=" << gdst << ", tag=" << tag
-       << ", bytes=" << data.size() << ')';
-    v->on_p2p(gme, os.str());
+    v->on_p2p(gme, {Validator::P2pOp::Dir::Send, gdst, tag, data.size()});
   }
   fabric_->counters.record(c, data.size());
   if (ScheduleRecording* rec = fabric_->recorder.get()) {
@@ -133,11 +129,8 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag, bool counted) {
   if (fi != nullptr && counted) fi->on_op(gme, *fabric_->transport);
   Message msg;
   if (v != nullptr || fi != nullptr) {
-    if (v != nullptr && tag < kInternalTagBase) {
-      std::ostringstream os;
-      os << "recv(from=" << gsrc << ", tag=" << tag << ')';
-      v->on_p2p(gme, os.str());
-    }
+    if (v != nullptr && tag < kInternalTagBase)
+      v->on_p2p(gme, {Validator::P2pOp::Dir::Recv, gsrc, tag, 0});
     // Watchdog: a receive blocked past the validator timeout throws a
     // probable-deadlock report instead of hanging the test run — naming the
     // injected fault when one is responsible. The retry hook is the ack/

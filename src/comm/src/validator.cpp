@@ -132,7 +132,7 @@ void Validator::reset_transient() {
   std::lock_guard lock(mu_);
   contexts_.clear();
   for (auto& s : last_collective_) s.clear();
-  for (auto& s : last_p2p_) s.clear();
+  for (auto& op : last_p2p_) op = {};
   for (auto& per_rank : nb_inflight_) per_rank.clear();
   cancelled_ = 0;
 }
@@ -189,9 +189,9 @@ void Validator::on_enter(std::uint64_t context, int comm_rank, int global_rank,
   last_collective_[static_cast<std::size_t>(global_rank)] = act.str();
 }
 
-void Validator::on_p2p(int global_rank, std::string activity) {
+void Validator::on_p2p(int global_rank, const P2pOp& op) {
   std::lock_guard lock(mu_);
-  last_p2p_[static_cast<std::size_t>(global_rank)] = std::move(activity);
+  last_p2p_[static_cast<std::size_t>(global_rank)] = op;
 }
 
 std::uint64_t Validator::on_nb_initiated(int global_rank, std::string what) {
@@ -251,7 +251,13 @@ std::string Validator::deadlock_report(int global_rank, std::uint64_t context,
   for (std::size_t r = 0; r < last_collective_.size(); ++r) {
     os << "\n  rank " << r << ": collective "
        << (last_collective_[r].empty() ? "<none yet>" : last_collective_[r]);
-    if (!last_p2p_[r].empty()) os << ", p2p " << last_p2p_[r];
+    const P2pOp& op = last_p2p_[r];
+    if (op.dir == P2pOp::Dir::Send) {
+      os << ", p2p send(to=" << op.peer << ", tag=" << op.tag
+         << ", bytes=" << op.bytes << ')';
+    } else if (op.dir == P2pOp::Dir::Recv) {
+      os << ", p2p recv(from=" << op.peer << ", tag=" << op.tag << ')';
+    }
   }
   // A stuck recv while nonblocking operations are pending usually means a
   // CollectiveHandle was never waited (its peers' schedule messages are

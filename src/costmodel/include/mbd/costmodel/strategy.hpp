@@ -19,14 +19,10 @@
 #include <vector>
 
 #include "mbd/costmodel/collective_costs.hpp"
+#include "mbd/costmodel/volumes.hpp"
 #include "mbd/nn/layer_spec.hpp"
 
 namespace mbd::costmodel {
-
-/// Role of the Pr grid dimension for one layer in the full integration:
-/// Model  — layer is in LM (weights row-partitioned over Pr)
-/// Domain — layer is in LD (each sample spatially partitioned over Pr)
-enum class LayerRole { Model, Domain };
 
 /// Process-grid policy for the Eq. 8 simulations.
 enum class GridMode {
@@ -95,8 +91,9 @@ StrategyCost integrated_cost(const std::vector<nn::LayerSpec>& layers,
                              GridMode mode = GridMode::Uniform,
                              SimOptions opts = {});
 
-/// Eq. 9: per-layer roles for the Pr dimension (`roles[i]` for `layers[i]`).
-/// Domain roles are only meaningful for conv layers; FC layers must be Model.
+/// Eq. 9: per-layer roles for the Pr dimension (`roles[i]` for `layers[i]`):
+/// Model (L_M) or Domain (L_D, conv layers only); see LayerRole in
+/// volumes.hpp.
 StrategyCost full_integrated_cost(const std::vector<nn::LayerSpec>& layers,
                                   const std::vector<LayerRole>& roles,
                                   std::size_t batch, std::size_t pr,

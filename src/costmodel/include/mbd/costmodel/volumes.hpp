@@ -1,4 +1,12 @@
-// Per-rank traffic volumes of the seven distributed trainers.
+// Layouts as plans, and the per-rank traffic of the seven trainers.
+//
+// A ParallelPlan is one layout of the paper's integrated algorithm: a
+// Pr × Pc grid plus a role per layer (Eq. 9's L_M/L_D lists, extended by
+// the Batch and Replicated roles the executable trainers use). Six of the
+// seven trainers are named plans (named_plan); parallel::build_layout runs
+// a plan, and trainer_rank_volume folds the same plan into traffic. The 1F1B
+// pipeline is the one trainer that is not a grid layout; it keeps its own
+// builder and closed form.
 //
 // trainer_rank_volume gives the exact bytes *one* rank sends per SGD
 // iteration, per traffic class. Each collective's share is a fold over the
@@ -38,6 +46,56 @@ enum class TrainerKind {
 /// "hybrid", "mixed", "pipeline") used in reports and CLI arguments.
 std::string_view trainer_kind_name(TrainerKind k);
 
+/// What one layer does on the Pr × Pc grid. Eq. 9 names the first two:
+///   Model      — L_M: weight rows split over Pr, batch columns over Pc
+///                (Eq. 8). Runs fully connected layers.
+///   Domain     — L_D: each sample's image rows split over Pr, weights
+///                replicated (Eq. 7). Runs stride-1, odd-kernel, same-padded
+///                convolutions.
+///   Batch      — full weights on this rank's B/P batch columns (Eq. 4).
+///   Replicated — full weights and the full batch on every rank; moves no
+///                data (the domain trainer's FC tail).
+enum class LayerRole { Model, Domain, Batch, Replicated };
+
+/// One layout: the grid (rank = row·Pc + col) and a role per layer. Every
+/// plan is a front run of Batch or Domain layers (possibly empty) followed
+/// by a tail of fully connected layers in one role. `split` says whether
+/// the Pr groups {(·, col)} and the Pc groups {(row, ·)} are split out of
+/// the world; an unsplit plan is 1 × P or P × 1 and talks over the world.
+struct ParallelPlan {
+  int pr = 1;
+  int pc = 1;
+  bool split = false;
+  std::vector<LayerRole> roles;  ///< one per layer
+};
+
+/// The plan of every trainer but the pipeline. The pure trainers run on
+/// p = pr·pc ranks and ignore the grid shape; conv and pool layers take the
+/// front role, FC layers the tail role:
+///   batch       1 × P    unsplit  every layer Batch
+///   model       P × 1    unsplit  every layer Model
+///   integrated  pr × pc  split    every layer Model
+///   domain      P × 1    unsplit  conv/pool Domain, FC Replicated
+///   hybrid      pr × pc  split    conv/pool Domain, FC Model
+///   mixed       pr × pc  split    conv/pool Batch,  FC Model
+/// Hybrid and mixed need a conv or pool layer first: without one they would
+/// be the 1.5D plan under another name.
+ParallelPlan named_plan(TrainerKind kind,
+                        const std::vector<nn::LayerSpec>& specs, int pr,
+                        int pc);
+
+/// Throws mbd::Error, naming the offending layer, unless `plan` is one of
+/// the six shapes above and `specs` fit it: Domain layers are stride-1,
+/// odd square kernel, same-padded convs of one image height with at least
+/// Pr rows; Model and Replicated layers are fully connected; a front stack
+/// feeds the tail exactly its first layer's fc_in activations.
+void check_plan(const ParallelPlan& plan,
+                const std::vector<nn::LayerSpec>& specs);
+
+/// Length of the plan's front run of Batch or Domain layers (0 when it
+/// starts with its FC tail).
+std::size_t front_layers(const ParallelPlan& plan);
+
 /// Bytes one rank sends per SGD iteration, by traffic class.
 struct RankVolume {
   std::uint64_t allreduce_bytes = 0;
@@ -58,10 +116,14 @@ struct RankVolume {
 /// Exact bytes rank `rank` (global, row-major on the Pr×Pc grid: row =
 /// rank/pc, col = rank%pc) sends per iteration when training `specs` with
 /// the given trainer. Pure trainers (batch/model/domain) run on p = pr·pc
-/// ranks and ignore the grid shape. Mirrors mbd/parallel exactly: FC
-/// all-gathers use Bruck when the row count divides evenly and the ring
-/// all-gatherv otherwise, conv stacks halo-exchange and all-reduce per
-/// layer, and the mixed grid pays the Eq. 6 redistribution all-gatherv.
+/// ranks and ignore the grid shape. For every trainer but the pipeline this
+/// is one fold over named_plan's roles, mirroring the stages
+/// parallel::build_layout emits for them: Model layers all-gather Y (Bruck
+/// when Pr divides the rows, the ring all-gatherv otherwise) and all-reduce
+/// ∆X over Pr and ∆W over Pc; Batch and Domain layers all-reduce full
+/// weights over all P, and Domain layers exchange halos within Pr; leaving
+/// a Domain stack all-gathers its slabs, and a Batch stack feeding Model
+/// layers pays the Eq. 6 redistribution all-gatherv.
 /// Setup traffic (communicator splits, final parameter assembly) and the
 /// loss reduction are excluded: tests measure per-iteration deltas to
 /// factor them out.

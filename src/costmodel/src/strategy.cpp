@@ -188,6 +188,9 @@ StrategyCost full_integrated_cost(const std::vector<LayerSpec>& layers,
           static_cast<double>(l.weight_count()) / static_cast<double>(pr),
           opts.latency);
     } else {
+      MBD_CHECK_MSG(roles[i] == LayerRole::Domain,
+                    "Eq. 9 prices Model and Domain layers only; '"
+                        << l.name << "' has another role");
       MBD_CHECK_MSG(l.kind == LayerKind::Conv,
                     "Domain role requires a conv layer; '" << l.name
                                                            << "' is not one");

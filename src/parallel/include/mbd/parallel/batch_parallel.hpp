@@ -12,12 +12,6 @@
 
 namespace mbd::parallel {
 
-/// The batch-parallel stage layout as a value (see engine_layout.hpp);
-/// weights built from nn::BuildOptions{.seed = opts.seed}.
-EngineLayout build_batch_parallel_layout(
-    comm::Comm& comm, const TrainerOptions& opts,
-    const std::vector<nn::LayerSpec>& specs, std::size_t batch);
-
 /// Run `cfg.iterations` steps of batch-parallel SGD on comm's ranks.
 /// Every rank builds an identical network from (specs, build options), so
 /// weights start equal and stay equal after each all-reduced step.

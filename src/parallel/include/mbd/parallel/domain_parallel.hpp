@@ -16,11 +16,6 @@
 
 namespace mbd::parallel {
 
-/// The domain-parallel stage layout as a value (see engine_layout.hpp).
-EngineLayout build_domain_parallel_layout(
-    comm::Comm& comm, const TrainerOptions& opts,
-    const std::vector<nn::LayerSpec>& specs, std::size_t batch);
-
 /// Run domain-parallel SGD. `specs` must be a stack of stride-1, odd-kernel,
 /// same-padded conv layers followed by FC layers (no pooling); each rank's
 /// height slab (block partition, uneven allowed) must be at least as tall as

@@ -1,21 +1,25 @@
 // A trainer's stage layout as a first-class value.
 //
-// Each of the seven trainers used to build its LayerEngine inline: split the
-// communicator, draw the weights, push the stages, train. That welds the
-// layout to the training loop — nothing else (an inference engine, a layout
-// autotuner, a planner) can reuse the stage graph. EngineLayout extracts the
-// configuration half: the comm groups (owned, so their addresses stay stable
-// for the stages that point at them), the stage list, the StepSchedule, and
-// the data-movement contract an *executor* needs — which input columns this
-// rank feeds (InputSpec) and where the logits end up (OutputSpec).
+// An EngineLayout is one rank's view of a training configuration: the comm
+// groups (owned, so their addresses stay stable for the stages that point
+// at them), the stage list, the StepSchedule, and the data-movement
+// contract an *executor* needs — which input columns this rank feeds
+// (InputSpec), where the logits end up (OutputSpec), and where the trained
+// parameters live (ParamBlock).
 //
-// `train_layout` is the original training loop: it moves the stages into a
-// LayerEngine and runs it. `serve::InferenceSession` is the second executor:
-// it interprets a derived forward-only tick program over the same stages —
-// no Bwd ticks, no optimizer state — and assembles the logits per the
-// OutputSpec. Every `build_*_layout` preserves the exact split order and RNG
-// stream of the trainer it was extracted from, so layouts start from the
-// sequential reference's weights bit for bit.
+// build_layout derives all of it from a costmodel::ParallelPlan — a
+// Pr × Pc grid plus a role per layer — and the six collective trainers are
+// named plans of it (named_layout). The pipeline, the one trainer that is
+// not a grid layout, has its own build_pipeline_layout. Every layout draws
+// full weight matrices in layer order from the stream nn::build_network
+// uses and keeps its own block, so it starts from the sequential
+// reference's weights bit for bit.
+//
+// `train_layout` is the training loop: it moves the stages into a
+// LayerEngine and runs it. `serve::InferenceSession` is the second
+// executor: it interprets a derived forward-only tick program over the
+// same stages — no Bwd ticks, no optimizer state — and assembles the logits
+// per the OutputSpec.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "mbd/comm/comm.hpp"
+#include "mbd/costmodel/volumes.hpp"
 #include "mbd/nn/layer_spec.hpp"
 #include "mbd/parallel/common.hpp"
 #include "mbd/parallel/layer_engine.hpp"
@@ -48,6 +53,12 @@ struct OutputSpec {
   std::vector<int> owners;  ///< size == parts when !replicated
 };
 
+/// A block of the full parameter vector held by one rank only.
+struct ParamBlock {
+  int owner = 0;
+  std::size_t size = 0;  ///< floats
+};
+
 /// One rank's complete view of a trainer configuration: the comm groups the
 /// stages communicate over (owned here so stage pointers stay valid for the
 /// layout's lifetime), the stages themselves, the engine schedule, and the
@@ -58,14 +69,39 @@ struct EngineLayout {
   StepSchedule sched;
   InputSpec input;
   OutputSpec output;
+  /// Empty when every rank's stages collect the full parameter vector.
+  /// Otherwise the vector is these blocks in order, each held by its owner
+  /// (the pipeline's whole layers), and train_layout broadcasts them.
+  std::vector<ParamBlock> param_blocks;
   std::size_t d_in = 0;   ///< first stage's expected row count
   std::size_t d_out = 0;  ///< logits row count
 };
 
-/// Run the shared training loop over a built layout (the exact code path
-/// the seven train_* entry points always ran): move the stages into a
-/// LayerEngine and train. The layout's comm groups stay alive in the caller
-/// frame for the duration.
+/// The stages of `plan` on this rank (see the role → stage table in
+/// docs/parallel_engine.md). Throws mbd::Error naming the layer when
+/// costmodel::check_plan rejects the plan, and when pr·pc is not
+/// comm.size() or the batch has fewer columns than the plan splits it into
+/// (P for a Batch front, Pc otherwise). Weights come from
+/// Rng(opts.seed) in layer order; an all-Batch plan builds
+/// nn::build_network(specs, {.seed = opts.seed}).
+EngineLayout build_layout(comm::Comm& comm,
+                          const costmodel::ParallelPlan& plan,
+                          const TrainerOptions& opts,
+                          const std::vector<nn::LayerSpec>& specs,
+                          std::size_t batch);
+
+/// The layout of a registry trainer other than the pipeline: build_layout
+/// over costmodel::named_plan(kind, ...). The pure trainers (batch, model,
+/// domain) run on all of `comm` and ignore opts.grid.
+EngineLayout named_layout(costmodel::TrainerKind kind, comm::Comm& comm,
+                          const TrainerOptions& opts,
+                          const std::vector<nn::LayerSpec>& specs,
+                          std::size_t batch);
+
+/// Run the shared training loop over a built layout: move the stages into a
+/// LayerEngine, train, and assemble the parameter blocks when the layout
+/// has any. The layout's comm groups stay alive in this frame for the
+/// duration.
 DistResult train_layout(comm::Comm& comm, EngineLayout layout,
                         const nn::Dataset& data, const nn::TrainConfig& cfg,
                         const RecoveryContext* recovery = nullptr);

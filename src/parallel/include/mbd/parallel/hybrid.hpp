@@ -21,11 +21,6 @@
 
 namespace mbd::parallel {
 
-/// The hybrid stage layout as a value (see engine_layout.hpp).
-EngineLayout build_hybrid_layout(
-    comm::Comm& comm, const TrainerOptions& opts,
-    const std::vector<nn::LayerSpec>& specs, std::size_t batch);
-
 /// Run fully integrated SGD. `specs` must be a stride-1 odd-kernel same-pad
 /// conv stack followed by FC layers; grid.pr must not exceed the image
 /// height and grid.pc must not exceed the batch (uneven partitions allowed).

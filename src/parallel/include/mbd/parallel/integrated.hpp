@@ -17,15 +17,6 @@
 
 namespace mbd::parallel {
 
-// GridShape lives in common.hpp (shared by the trainer registry).
-
-/// The 1.5D stage layout as a value (see engine_layout.hpp). Owns its two
-/// comm splits (same split order as train_integrated_15d, so schedules and
-/// weights match bit for bit).
-EngineLayout build_integrated_15d_layout(
-    comm::Comm& comm, const TrainerOptions& opts,
-    const std::vector<nn::LayerSpec>& specs, std::size_t batch);
-
 /// Run 1.5D integrated SGD. `specs` must be all fully connected; batch must
 /// be at least pc. Neither d_out/pr nor batch/pc need divide evenly (uneven
 /// blocks use the ring all-gatherv / block column partition). pr = P, pc = 1

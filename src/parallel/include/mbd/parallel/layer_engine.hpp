@@ -233,13 +233,15 @@ class FcStage final : public EngineStage {
   bool accumulate_dw_ = false;
 };
 
-/// A whole sequential nn::Network as one stage: the batch-parallel trainer.
-/// Every layer's ∆W is all-reduced over `reduce_group`.
+/// A sequential nn::Network on this rank's batch columns with replicated
+/// weights — the Batch role: the batch trainer's whole network, or the
+/// mixed grid's conv/pool stack below its Model layers. Every layer's ∆W is
+/// all-reduced over `reduce_group`.
 class NetworkStage final : public EngineStage {
  public:
-  /// `macs_per_sample` is the whole network's forward multiply-accumulate
-  /// count per sample (nn::LayerSpec::macs_per_sample summed); it feeds
-  /// StepContext::annotate so replay prediction works for this trainer.
+  /// `macs_per_sample` is the network's forward multiply-accumulate count
+  /// per sample (nn::LayerSpec::macs_per_sample summed); it feeds
+  /// StepContext::annotate so replay prediction works for this stage.
   NetworkStage(nn::Network net, comm::Comm* reduce_group,
                double macs_per_sample = 0.0);
 
@@ -255,31 +257,6 @@ class NetworkStage final : public EngineStage {
  private:
   nn::Network net_;
   comm::Comm* reduce_group_;
-  double macs_per_sample_;
-};
-
-/// A batch-parallel conv/pool prefix with fully replicated weights (the
-/// mixed-grid trainer's conv phase): raw layers run on this rank's B/P
-/// columns; conv ∆W is all-reduced over `reduce_group` after the backward.
-class ConvStackStage final : public EngineStage {
- public:
-  ConvStackStage(std::vector<std::unique_ptr<nn::Layer>> layers,
-                 std::size_t d_out, comm::Comm* reduce_group,
-                 double macs_per_sample = 0.0);
-
-  const char* name() const override { return "conv_stack"; }
-  Flow forward(Flow in, const StepContext& ctx) override;
-  Flow backward(Flow grad, const StepContext& ctx, GradReducer& red) override;
-  void update(float lr, float momentum) override;
-  void collect_params(std::vector<float>& out) override;
-  void save_state(std::vector<float>& out) override;
-  void restore_state(std::span<const float>& in) override;
-
- private:
-  std::vector<std::unique_ptr<nn::Layer>> layers_;
-  std::size_t d_out_;
-  comm::Comm* reduce_group_;
-  std::vector<std::vector<float>> vel_;
   double macs_per_sample_;
 };
 

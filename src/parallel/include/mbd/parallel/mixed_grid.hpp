@@ -19,11 +19,6 @@
 
 namespace mbd::parallel {
 
-/// The mixed-grid stage layout as a value (see engine_layout.hpp).
-EngineLayout build_mixed_grid_layout(
-    comm::Comm& comm, const TrainerOptions& opts,
-    const std::vector<nn::LayerSpec>& specs, std::size_t batch);
-
 /// Run mixed-grid SGD. `specs` must be conv/pool layers followed by FC
 /// layers (any conv geometry — stride, padding, pooling all allowed, since
 /// the conv stack is batch parallel); batch ≥ P so every process holds at

@@ -13,14 +13,6 @@
 
 namespace mbd::parallel {
 
-/// The model-parallel stage layout as a value (see engine_layout.hpp):
-/// exactly the configuration train_model_parallel runs, reusable by other
-/// executors (forward-only inference, planners). Same RNG stream, same
-/// stage order — training through train_layout is bitwise-identical.
-EngineLayout build_model_parallel_layout(
-    comm::Comm& comm, const TrainerOptions& opts,
-    const std::vector<nn::LayerSpec>& specs, std::size_t batch);
-
 /// Run model-parallel SGD. `specs` must be all fully-connected (an MLP).
 /// Output dimensions need not divide comm.size(): equal row blocks go
 /// through the Bruck all-gather, uneven ones through the ring all-gatherv.

@@ -24,8 +24,8 @@
 namespace mbd::parallel {
 
 /// The 1F1B pipeline stage layout as a value (see engine_layout.hpp),
-/// including the rank's 1F1B tick program in sched.program. The post-train
-/// full-parameter broadcast assembly stays in train_pipeline.
+/// including the rank's 1F1B tick program in sched.program and one
+/// parameter block per layer, held by the layer's owner.
 EngineLayout build_pipeline_layout(
     comm::Comm& comm, const TrainerOptions& opts,
     const std::vector<nn::LayerSpec>& specs, std::size_t batch);

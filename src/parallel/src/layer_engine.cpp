@@ -252,72 +252,6 @@ void NetworkStage::restore_state(std::span<const float>& in) {
 }
 
 // ---------------------------------------------------------------------------
-// ConvStackStage
-// ---------------------------------------------------------------------------
-
-ConvStackStage::ConvStackStage(std::vector<std::unique_ptr<nn::Layer>> layers,
-                               std::size_t d_out, comm::Comm* reduce_group,
-                               double macs_per_sample)
-    : layers_(std::move(layers)),
-      d_out_(d_out),
-      reduce_group_(reduce_group),
-      macs_per_sample_(macs_per_sample) {
-  vel_.resize(layers_.size());
-  for (std::size_t li = 0; li < layers_.size(); ++li)
-    vel_[li].assign(layers_[li]->weights().size(), 0.0f);
-}
-
-Flow ConvStackStage::forward(Flow in, const StepContext& ctx) {
-  Matrix x = std::move(in.as_matrix());
-  const auto b = static_cast<double>(x.cols());
-  for (auto& l : layers_) x = l->forward(x);
-  MBD_CHECK_EQ(x.rows(), d_out_);
-  ctx.annotate(2.0 * macs_per_sample_ * b);
-  return Flow::from_matrix(std::move(x));
-}
-
-Flow ConvStackStage::backward(Flow grad, const StepContext& ctx,
-                              GradReducer& red) {
-  Matrix dx = std::move(grad.as_matrix());
-  const auto b = static_cast<double>(dx.cols());
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    dx = (*it)->backward(dx);
-  ctx.annotate(4.0 * macs_per_sample_ * b);
-  for (auto& l : layers_) {
-    const auto g = l->grads();
-    if (!g.empty()) red.allreduce(*reduce_group_, g);
-  }
-  return Flow::from_matrix(std::move(dx));
-}
-
-void ConvStackStage::update(float lr, float momentum) {
-  for (std::size_t li = 0; li < layers_.size(); ++li)
-    sgd_update(layers_[li]->weights(), layers_[li]->grads(), vel_[li], lr,
-               momentum);
-}
-
-void ConvStackStage::collect_params(std::vector<float>& out) {
-  for (auto& l : layers_) {
-    const auto w = l->weights();
-    out.insert(out.end(), w.begin(), w.end());
-  }
-}
-
-void ConvStackStage::save_state(std::vector<float>& out) {
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    append_state(out, layers_[li]->weights());
-    append_state(out, vel_[li]);
-  }
-}
-
-void ConvStackStage::restore_state(std::span<const float>& in) {
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    take_state(in, layers_[li]->weights());
-    take_state(in, vel_[li]);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // DomainConvStage
 // ---------------------------------------------------------------------------
 

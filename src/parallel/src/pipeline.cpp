@@ -170,6 +170,13 @@ EngineLayout build_pipeline_layout(comm::Comm& comm,
   lay.output.owners.push_back(p - 1);
   lay.d_in = specs.front().fc_in;
   lay.d_out = specs.back().fc_out;
+  // Each layer's weights live on its owner only; train_layout broadcasts
+  // them in layer order.
+  for (int owner = 0; owner < p; ++owner) {
+    const Range group = block_range(num_layers, p, owner);
+    for (std::size_t l = group.lo; l < group.hi; ++l)
+      lay.param_blocks.push_back({owner, specs[l].weight_count()});
+  }
 
   if (r > 0)
     lay.stages.push_back(std::make_unique<PipeRecvStage>(
@@ -203,42 +210,11 @@ DistResult train_pipeline(comm::Comm& comm,
                           std::size_t microbatches, std::uint64_t seed,
                           ReduceMode mode, const RecoveryContext* recovery,
                           double seconds_per_flop) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  const std::size_t num_layers = specs.size();
-
-  TrainerOptions opts;
-  opts.seed = seed;
-  opts.mode = mode;
-  opts.seconds_per_flop = seconds_per_flop;
-  opts.microbatches = microbatches;
-  DistResult res =
-      train_layout(comm, build_pipeline_layout(comm, opts, specs, cfg.batch),
-                   data, cfg, recovery);
-
-  // Assemble the full parameter vector on every rank: each layer's owner
-  // broadcasts its weights in layer order. This is setup traffic after the
-  // last engine-step marker, excluded from per-iteration accounting like
-  // the other trainers' collect_params all-gathers.
-  std::vector<float> full;
-  std::size_t local_at = 0;
-  for (int owner = 0; owner < p; ++owner) {
-    const Range group = block_range(num_layers, p, owner);
-    for (std::size_t l = group.lo; l < group.hi; ++l) {
-      std::vector<float> buf(specs[l].weight_count());
-      if (owner == r) {
-        MBD_CHECK_LE(local_at + buf.size(), res.params.size());
-        std::copy_n(res.params.begin() +
-                        static_cast<std::ptrdiff_t>(local_at),
-                    buf.size(), buf.begin());
-        local_at += buf.size();
-      }
-      comm.broadcast(std::span<float>(buf), owner);
-      full.insert(full.end(), buf.begin(), buf.end());
-    }
-  }
-  res.params = std::move(full);
-  return res;
+  const TrainerOptions opts{.grid = {}, .seed = seed, .mode = mode,
+                            .seconds_per_flop = seconds_per_flop,
+                            .microbatches = microbatches};
+  return train_layout(comm, build_pipeline_layout(comm, opts, specs, cfg.batch),
+                      data, cfg, recovery);
 }
 
 }  // namespace mbd::parallel

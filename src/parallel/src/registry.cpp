@@ -3,13 +3,8 @@
 // keeping their own trainer lists.
 #include <array>
 
-#include "mbd/parallel/batch_parallel.hpp"
 #include "mbd/parallel/common.hpp"
-#include "mbd/parallel/domain_parallel.hpp"
-#include "mbd/parallel/hybrid.hpp"
-#include "mbd/parallel/integrated.hpp"
-#include "mbd/parallel/mixed_grid.hpp"
-#include "mbd/parallel/model_parallel.hpp"
+#include "mbd/parallel/engine_layout.hpp"
 #include "mbd/parallel/pipeline.hpp"
 #include "mbd/support/check.hpp"
 
@@ -18,73 +13,44 @@ namespace {
 
 using costmodel::TrainerKind;
 
-DistResult run_model(comm::Comm& c, const TrainerOptions& o,
-                     const std::vector<nn::LayerSpec>& specs,
-                     const nn::Dataset& data, const nn::TrainConfig& cfg) {
-  return train_model_parallel(c, specs, data, cfg, o.seed, o.mode, o.recovery,
-                              o.seconds_per_flop);
+// Every row's entry points: the layout (a named plan, or the pipeline's own
+// builder) trained by train_layout.
+template <TrainerKind K>
+EngineLayout layout(comm::Comm& c, const TrainerOptions& o,
+                    const std::vector<nn::LayerSpec>& specs,
+                    std::size_t batch) {
+  if constexpr (K == TrainerKind::Pipeline) {
+    return build_pipeline_layout(c, o, specs, batch);
+  } else {
+    return named_layout(K, c, o, specs, batch);
+  }
 }
 
-DistResult run_batch(comm::Comm& c, const TrainerOptions& o,
-                     const std::vector<nn::LayerSpec>& specs,
-                     const nn::Dataset& data, const nn::TrainConfig& cfg) {
-  return train_batch_parallel(c, specs, data, cfg,
-                              nn::BuildOptions{.seed = o.seed}, o.mode,
-                              o.recovery, o.seconds_per_flop);
-}
-
-DistResult run_integrated(comm::Comm& c, const TrainerOptions& o,
-                          const std::vector<nn::LayerSpec>& specs,
-                          const nn::Dataset& data, const nn::TrainConfig& cfg) {
-  return train_integrated_15d(c, o.grid, specs, data, cfg, o.seed, o.mode,
-                              o.seconds_per_flop, o.recovery);
-}
-
-DistResult run_mixed(comm::Comm& c, const TrainerOptions& o,
-                     const std::vector<nn::LayerSpec>& specs,
-                     const nn::Dataset& data, const nn::TrainConfig& cfg) {
-  return train_mixed_grid(c, o.grid, specs, data, cfg, o.seed, o.mode,
-                          o.recovery, o.seconds_per_flop);
-}
-
-DistResult run_domain(comm::Comm& c, const TrainerOptions& o,
-                      const std::vector<nn::LayerSpec>& specs,
-                      const nn::Dataset& data, const nn::TrainConfig& cfg) {
-  return train_domain_parallel(c, specs, data, cfg, o.seed,
-                               /*overlap_halo=*/false, o.mode, o.recovery,
-                               o.seconds_per_flop);
-}
-
-DistResult run_hybrid(comm::Comm& c, const TrainerOptions& o,
-                      const std::vector<nn::LayerSpec>& specs,
-                      const nn::Dataset& data, const nn::TrainConfig& cfg) {
-  return train_hybrid(c, o.grid, specs, data, cfg, o.seed,
-                      /*overlap_halo=*/false, o.mode, o.recovery,
-                      o.seconds_per_flop);
-}
-
-DistResult run_pipeline(comm::Comm& c, const TrainerOptions& o,
-                        const std::vector<nn::LayerSpec>& specs,
-                        const nn::Dataset& data, const nn::TrainConfig& cfg) {
-  return train_pipeline(c, specs, data, cfg, o.microbatches, o.seed, o.mode,
-                        o.recovery, o.seconds_per_flop);
+template <TrainerKind K>
+DistResult run(comm::Comm& c, const TrainerOptions& o,
+               const std::vector<nn::LayerSpec>& specs,
+               const nn::Dataset& data, const nn::TrainConfig& cfg) {
+  return train_layout(c, layout<K>(c, o, specs, cfg.batch), data, cfg,
+                      o.recovery);
 }
 
 constexpr std::array<TrainerEntry, 7> kRegistry{{
     {TrainerKind::ModelParallel, "model", "model", TrainerWorkload::Mlp,
-     run_model, build_model_parallel_layout},
+     run<TrainerKind::ModelParallel>, layout<TrainerKind::ModelParallel>},
     {TrainerKind::BatchParallel, "batch", "batch", TrainerWorkload::Mlp,
-     run_batch, build_batch_parallel_layout},
+     run<TrainerKind::BatchParallel>, layout<TrainerKind::BatchParallel>},
     {TrainerKind::Integrated15D, "integrated", "integrated_15d",
-     TrainerWorkload::Mlp, run_integrated, build_integrated_15d_layout},
+     TrainerWorkload::Mlp, run<TrainerKind::Integrated15D>,
+     layout<TrainerKind::Integrated15D>},
     {TrainerKind::MixedGrid, "mixed", "mixed_grid", TrainerWorkload::ConvPool,
-     run_mixed, build_mixed_grid_layout},
+     run<TrainerKind::MixedGrid>, layout<TrainerKind::MixedGrid>},
     {TrainerKind::DomainParallel, "domain", "domain",
-     TrainerWorkload::ConvHalo, run_domain, build_domain_parallel_layout},
+     TrainerWorkload::ConvHalo, run<TrainerKind::DomainParallel>,
+     layout<TrainerKind::DomainParallel>},
     {TrainerKind::Hybrid, "hybrid", "hybrid", TrainerWorkload::ConvHalo,
-     run_hybrid, build_hybrid_layout},
+     run<TrainerKind::Hybrid>, layout<TrainerKind::Hybrid>},
     {TrainerKind::Pipeline, "pipeline", "pipeline", TrainerWorkload::DeepMlp,
-     run_pipeline, build_pipeline_layout},
+     run<TrainerKind::Pipeline>, layout<TrainerKind::Pipeline>},
 }};
 
 }  // namespace

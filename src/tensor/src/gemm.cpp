@@ -205,8 +205,11 @@ void gemm_packed(const Operands& o) {
         detail::pack_b<NR, TransB>(o.b, o.ldb, pc, kb, jc, nb, bp);
       }
       // Threads split the macro-tile (row-block) loop; each packs its own A
-      // block into a thread-local buffer and streams the shared B block.
-#pragma omp parallel for schedule(static)
+      // block into a thread-local buffer and streams the shared B block. A
+      // single macro-tile (m <= mc) runs on the calling thread: a team would
+      // have nothing to split, and P rank threads each opening one would
+      // oversubscribe the cores.
+#pragma omp parallel for schedule(static) if (m > cfg.mc)
       for (std::size_t ic = 0; ic < m; ic += cfg.mc) {
         const std::size_t mb = std::min(cfg.mc, m - ic);
         static thread_local AlignedBuffer abuf;
